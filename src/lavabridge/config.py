@@ -1,21 +1,27 @@
 """Flat ``key = value`` run configuration.
 
-One text file configures everything, keys namespaced as ``env.*``,
-``sampler.*``, ``learner.*`` and ``run.*``; ``#`` starts a comment. Values
-are scalars, comma-separated tuples, or semicolon-separated groups of
-tuples, e.g.::
+One text file configures everything; ``#`` starts a comment. Keys are
+``run.<name>`` for the scalar fields of ``RunConfig`` and ``env.<name>``,
+``sampler.<name>``, ``learner.<name>`` for the fields of its dataclass-typed
+sections (``EnvSettings``, ``SamplerConfig``, ``LearnerConfig``): every key
+is a dataclass field name. Values are parsed by the field's type hint:
+scalars, comma-separated tuples, or semicolon-separated groups of tuples;
+an empty value is None for optional fields. For example::
 
     run.method = auxss
     run.t_max = 150000
     env.lava = 4,0,6,4.5 ; 4,5.5,6,10
     sampler.delta = 0.05
 
-Unknown keys are rejected to catch typos early.
+``RunConfig.to_text`` writes every field the same way, so a run's
+``config.txt`` reloads to an equal config. Unknown keys and tuples of the
+wrong length are rejected to catch typos early.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .env import LavaBridgeEnv, Rect, Vec2, WorldGeometry
 from .learner import LearnerConfig
@@ -39,29 +45,30 @@ SAMPLER_METHODS = {"auxss": "auxss", "uniform": "uniform", "goaldist": "goaldist
 DEMO_METHODS = ("auxss", "uniform", "goaldist", "omega", "hysac", "hysac-auxss", "jsrl")
 PREFILL_METHODS = ("hysac", "hysac-auxss")
 
+# The env module owns every geometry and dynamics default.
+_GEOMETRY = WorldGeometry()
+_DYNAMICS = LavaBridgeEnv.__init__.__kwdefaults__
+
 
 @dataclass(frozen=True)
 class EnvSettings:
     """Geometry and dynamics constants, file-overridable key by key."""
 
-    world: tuple[float, float, float, float] = (0.0, 0.0, 10.0, 10.0)
-    lava: tuple[tuple[float, float, float, float], ...] = (
-        (4.0, 0.0, 6.0, 4.5),
-        (4.0, 5.5, 6.0, 10.0),
+    world: tuple[float, float, float, float] = astuple(_GEOMETRY.world)
+    lava: tuple[tuple[float, float, float, float], ...] = tuple(astuple(r) for r in _GEOMETRY.lava)
+    goal: tuple[float, float] = astuple(_GEOMETRY.goal_center)
+    goal_radius: float = _GEOMETRY.goal_radius
+    start_blobs: tuple[tuple[float, float, float], ...] = tuple(
+        (*astuple(mean), std) for mean, std in _GEOMETRY.start_blobs
     )
-    goal: tuple[float, float] = (9.0, 5.0)
-    goal_radius: float = 0.4
-    start_blobs: tuple[tuple[float, float, float], ...] = ((1.0, 2.5, 0.3), (1.0, 7.5, 0.3))
-    ood_points: tuple[tuple[float, float], ...] = (
-        (1.0, 5.0), (2.5, 1.0), (2.5, 9.0), (3.5, 4.0), (3.5, 6.0), (0.5, 0.5),
-    )
-    ood_jitter: float = 0.15
-    dt: float = 0.1
-    f_max: float = 1.0
-    v_max: float = 2.0
-    drag: float = 0.1
-    goal_reward: float = 1.0
-    lava_reward: float = -1.0
+    ood_points: tuple[tuple[float, float], ...] = tuple(astuple(p) for p in _GEOMETRY.ood_points)
+    ood_jitter: float = _GEOMETRY.ood_jitter
+    dt: float = _DYNAMICS["dt"]
+    f_max: float = _DYNAMICS["f_max"]
+    v_max: float = _DYNAMICS["v_max"]
+    drag: float = _DYNAMICS["drag"]
+    goal_reward: float = _DYNAMICS["goal_reward"]
+    lava_reward: float = _DYNAMICS["lava_reward"]
 
     def geometry(self) -> WorldGeometry:
         return WorldGeometry(
@@ -89,7 +96,7 @@ class RunConfig:
 
     method: str = "auxss"
     t_max: int = 150_000
-    horizon: int = 500
+    horizon: int = _DYNAMICS["horizon"]
     seed: int = 0
     eval_interval: int = 5000
     eval_episodes: int = 20
@@ -108,60 +115,64 @@ class RunConfig:
             raise ValueError("horizon must be >= 1 and t_max >= 0")
         if self.eval_interval < 1 or self.eval_episodes < 1:
             raise ValueError("eval interval and episode count must be positive")
+        if self.demo_subset < 1:
+            raise ValueError("demo_subset must be >= 1")
 
     def to_text(self) -> str:
-        e, s, l = self.env, self.sampler, self.learner
-        lines = [
-            f"run.method = {self.method}",
-            f"run.t_max = {self.t_max}",
-            f"run.horizon = {self.horizon}",
-            f"run.seed = {self.seed}",
-            f"run.eval_interval = {self.eval_interval}",
-            f"run.eval_episodes = {self.eval_episodes}",
-            f"run.demo_subset = {self.demo_subset}",
-        ]
-        if self.demo_archive:
-            lines.append(f"run.demo_archive = {self.demo_archive}")
-        lines += [
-            "env.world = " + _fmt_tuple(e.world),
-            "env.lava = " + " ; ".join(_fmt_tuple(r) for r in e.lava),
-            "env.goal = " + _fmt_tuple(e.goal),
-            f"env.goal_radius = {e.goal_radius!r}",
-            "env.start_blobs = " + " ; ".join(_fmt_tuple(b) for b in e.start_blobs),
-            "env.ood_points = " + " ; ".join(_fmt_tuple(p) for p in e.ood_points),
-            f"env.ood_jitter = {e.ood_jitter!r}",
-            f"env.dt = {e.dt!r}",
-            f"env.f_max = {e.f_max!r}",
-            f"env.v_max = {e.v_max!r}",
-            f"env.drag = {e.drag!r}",
-            f"env.goal_reward = {e.goal_reward!r}",
-            f"env.lava_reward = {e.lava_reward!r}",
-            f"sampler.delta = {s.delta!r}",
-            f"sampler.sigma = {s.sigma!r}",
-            "sampler.scale = " + _fmt_tuple(s.scale),
-            f"sampler.epsilon = {s.epsilon!r}",
-            f"sampler.k_safety = {s.k_safety}",
-            f"sampler.n_safety_rollouts = {s.n_safety_rollouts}",
-            f"sampler.tau0 = {s.tau0!r}",
-            f"sampler.tau1 = {s.tau1!r}",
-            f"sampler.cause_aware = {'true' if s.cause_aware else 'false'}",
-            f"learner.gamma = {l.gamma!r}",
-            f"learner.lr = {l.lr!r}",
-            f"learner.batch_size = {l.batch_size}",
-            f"learner.tau = {l.tau!r}",
-            f"learner.alpha = {l.alpha!r}",
-            "learner.hidden = " + ",".join(str(h) for h in l.hidden),
-            f"learner.grad_steps = {l.grad_steps}",
-            f"learner.buffer_capacity = {l.buffer_capacity}",
-            f"learner.log_std_min = {l.log_std_min!r}",
-            f"learner.log_std_max = {l.log_std_max!r}",
-            f"learner.dtype = {l.dtype}",
-        ]
+        """Every field as one ``section.name = value`` line, run keys first."""
+        objs = {"run": self, **{name: getattr(self, name) for name in _section_types()}}
+        lines = [f"{section}.{f.name} = {_format(getattr(obj, f.name))}".rstrip()
+                 for section, obj in objs.items() for f in fields(obj) if f.name not in objs]
         return "\n".join(lines) + "\n"
 
 
-def _fmt_tuple(vals) -> str:
-    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals)
+def _section_types() -> dict[str, type]:
+    """Section name -> dataclass, for the dataclass-typed fields of RunConfig."""
+    hints = get_type_hints(RunConfig)
+    return {f.name: hints[f.name] for f in fields(RunConfig) if is_dataclass(hints[f.name])}
+
+
+def _format(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        sep = " ; " if value and isinstance(value[0], tuple) else ","
+        return sep.join(_format(v) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse(hint, text: str):
+    """Parse ``text`` as a value of type ``hint``.
+
+    ``tuple[X, ...]`` splits on ``,`` (on ``;`` when X is itself a tuple);
+    a fixed-length tuple hint also checks the number of parts.
+    """
+    text = text.strip()
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        sep = ";" if get_origin(args[0]) is tuple else ","
+        parts = [p for p in text.split(sep) if p.strip()]
+        if args[-1] is Ellipsis:
+            return tuple(_parse(args[0], p) for p in parts)
+        if len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {len(parts)} in {text!r}")
+        return tuple(_parse(a, p) for a, p in zip(args, parts))
+    if type(None) in args:  # ``X | None``: empty means None
+        if not text:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _parse(inner, text)
+    if hint is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"not a boolean: {text!r}")
+        return _BOOLS[text.lower()]
+    return hint(text)
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -178,102 +189,33 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
-
-def _groups(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(_floats(g) for g in text.split(";") if g.strip() != "")
-
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-_ENV_PARSERS = {
-    "world": _floats,
-    "lava": _groups,
-    "goal": _floats,
-    "goal_radius": float,
-    "start_blobs": _groups,
-    "ood_points": _groups,
-    "ood_jitter": float,
-    "dt": float,
-    "f_max": float,
-    "v_max": float,
-    "drag": float,
-    "goal_reward": float,
-    "lava_reward": float,
-}
-
-_SAMPLER_PARSERS = {
-    "kind": str,
-    "delta": float,
-    "sigma": float,
-    "scale": _floats,
-    "epsilon": float,
-    "k_safety": int,
-    "n_safety_rollouts": int,
-    "tau0": float,
-    "tau1": float,
-    "cause_aware": _bool,
-}
-
-_LEARNER_PARSERS = {
-    "dtype": str,
-    "gamma": float,
-    "lr": float,
-    "batch_size": int,
-    "tau": float,
-    "alpha": float,
-    "hidden": _ints,
-    "grad_steps": int,
-    "buffer_capacity": int,
-    "log_std_min": float,
-    "log_std_max": float,
-}
-
-_RUN_PARSERS = {
-    "method": str,
-    "t_max": int,
-    "horizon": int,
-    "seed": int,
-    "eval_interval": int,
-    "eval_episodes": int,
-    "demo_archive": str,
-    "demo_subset": int,
-}
+def _build(cls, section: str, raw: dict[str, str], **kw):
+    """``cls`` from the raw values of its ``section`` plus already built fields ``kw``."""
+    hints = get_type_hints(cls)
+    names = {f.name for f in fields(cls)} - kw.keys()
+    for name, text in raw.items():
+        key = f"{section}.{name}"
+        if name not in names:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            kw[name] = _parse(hints[name], text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
+    return cls(**kw)
 
 
 def config_from_mapping(kv: dict[str, str]) -> RunConfig:
-    env_kw: dict = {}
-    sampler_kw: dict = {}
-    learner_kw: dict = {}
-    run_kw: dict = {}
+    section_types = _section_types()
+    raw: dict[str, dict[str, str]] = {"run": {}, **{name: {} for name in section_types}}
     for key, val in kv.items():
-        if "." not in key:
+        section, dot, name = key.partition(".")
+        if not dot:
             raise ValueError(f"config key {key!r} is not namespaced (want section.name)")
-        section, name = key.split(".", 1)
-        table = {"env": (_ENV_PARSERS, env_kw), "sampler": (_SAMPLER_PARSERS, sampler_kw),
-                 "learner": (_LEARNER_PARSERS, learner_kw), "run": (_RUN_PARSERS, run_kw)}.get(section)
-        if table is None:
+        if section not in raw:
             raise ValueError(f"unknown config section {section!r} in key {key!r}")
-        parsers, sink = table
-        if name not in parsers:
-            raise ValueError(f"unknown config key {key!r}")
-        sink[name] = parsers[name](val)
-    return RunConfig(
-        env=EnvSettings(**env_kw),
-        sampler=SamplerConfig(**sampler_kw),
-        learner=LearnerConfig(**learner_kw),
-        **run_kw,
-    )
+        raw[section][name] = val
+    sections = {name: _build(cls, name, raw[name]) for name, cls in section_types.items()}
+    return _build(RunConfig, "run", raw["run"], **sections)
 
 
 def load_run_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -65,6 +65,16 @@ class LearnerConfig:
             raise ValueError("gamma must be in (0, 1)")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch size exceeds buffer capacity")
+        if self.lr <= 0.0:
+            raise ValueError("lr must be positive")
+        if not (0.0 < self.tau <= 1.0):
+            raise ValueError("tau must be in (0, 1]")
+        if self.alpha < 0.0:
+            raise ValueError("alpha must be non-negative")
+        if self.grad_steps < 1:
+            raise ValueError("grad_steps must be >= 1")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 class SACLearner:

@@ -103,10 +103,14 @@ class SamplerConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        if min(self.scale) <= 0.0:
+            raise ValueError("scale entries must be positive")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.tau0 > self.tau1:
             raise ValueError("tau0 must not exceed tau1")
+        if self.n_safety_rollouts < 1:
+            raise ValueError("n_safety_rollouts must be >= 1")
 
 
 # -- weight-vector operations ------------------------------------------------
