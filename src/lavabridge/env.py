@@ -28,7 +28,6 @@ __all__ = [
     "StepResult",
     "Vec2",
     "WorldGeometry",
-    "default_geometry",
 ]
 
 
@@ -77,21 +76,12 @@ class State:
             dtype=np.float64,
         )
 
-    @staticmethod
-    def from_array(arr) -> "State":
-        px, py, vx, vy = (float(v) for v in arr)
-        return State(Vec2(px, py), Vec2(vx, vy))
-
 
 @dataclass(frozen=True, slots=True)
 class Action:
     """Force command in newtons (unit mass assumed)."""
 
     force: Vec2
-
-    @staticmethod
-    def of(fx: float, fy: float) -> "Action":
-        return Action(Vec2(float(fx), float(fy)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,10 +155,6 @@ class WorldGeometry:
                 raise ValueError(f"OOD point {pt} is terminal or out of bounds")
 
 
-def default_geometry() -> WorldGeometry:
-    return WorldGeometry()
-
-
 @dataclass(frozen=True, slots=True)
 class StepResult:
     next_state: State
@@ -211,7 +197,7 @@ class LavaBridgeEnv:
         lava_reward: float = -1.0,
         horizon: int = 500,
     ):
-        self.geometry = geometry if geometry is not None else default_geometry()
+        self.geometry = geometry if geometry is not None else WorldGeometry()
         self.geometry.validate()
         self.dt = float(dt)
         self.f_max = float(f_max)
@@ -232,9 +218,6 @@ class LavaBridgeEnv:
     @property
     def state(self) -> State:
         return State(Vec2(self._px, self._py), Vec2(self._vx, self._vy))
-
-    def state_array(self) -> np.ndarray:
-        return np.array([self._px, self._py, self._vx, self._vy], dtype=np.float64)
 
     @property
     def steps(self) -> int:

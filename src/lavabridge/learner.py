@@ -124,10 +124,6 @@ class SACLearner:
             a = self.head.mean_action(out)
         return Action(Vec2(float(a[0, 0]), float(a[0, 1])))
 
-    def act_batch_mean(self, states: np.ndarray) -> np.ndarray:
-        out, _ = self.policy.forward(states)
-        return self.head.mean_action(out)
-
     # -- updates ----------------------------------------------------------------
 
     def update_step(self, buffer: ReplayBuffer, rng: np.random.Generator | None = None) -> dict:

@@ -40,7 +40,6 @@ __all__ = [
     "update_auxss",
     "goal_dist_weights",
     "omega_weights",
-    "uniform_weights",
     "save_weights_csv",
     "load_weights_csv",
 ]
@@ -69,15 +68,9 @@ class DemoStates:
 
 @dataclass
 class SamplerWeights:
-    """Weight vector over demo states and its norm (sum)."""
+    """Weight vector over demo states."""
 
     w: np.ndarray
-    norm: float
-
-    @staticmethod
-    def from_vector(w: np.ndarray) -> "SamplerWeights":
-        w = np.asarray(w, dtype=np.float64)
-        return SamplerWeights(w=w, norm=float(w.sum()))
 
     def probabilities(self) -> np.ndarray:
         return self.w / self.w.sum()
@@ -118,8 +111,7 @@ class SamplerConfig:
 
 def init_weights(demo: DemoStates) -> SamplerWeights:
     """All-ones start so every demo state gets visited at least once in expectation."""
-    n = len(demo)
-    return SamplerWeights(w=np.ones(n, dtype=np.float64), norm=float(n))
+    return SamplerWeights(np.ones(len(demo), dtype=np.float64))
 
 
 def sample_index(weights: SamplerWeights, rng: np.random.Generator) -> int:
@@ -168,7 +160,7 @@ def update_auxss(
         demo_array = demo.as_array()
     lam = _smoothing_kernel(demo_array, i, cfg)
     w = (1.0 - lam) * weights.w + lam * target
-    return SamplerWeights(w=w, norm=float(w.sum()))
+    return SamplerWeights(w)
 
 
 def goal_dist_weights(
@@ -194,7 +186,7 @@ def goal_dist_weights(
     tau = cfg.tau0 + (cfg.tau1 - cfg.tau0) * (t / t_max)
     dist = np.hypot(demo_array[:, 0] - goal.x, demo_array[:, 1] - goal.y)
     w = np.exp(-(dist - dist.min()) / tau)  # shifted so max weight is exactly 1
-    return SamplerWeights(w=w, norm=float(w.sum()))
+    return SamplerWeights(w)
 
 
 def omega_weights(demo: DemoStates, env, cfg: SamplerConfig, rng: np.random.Generator) -> SamplerWeights:
@@ -214,12 +206,7 @@ def omega_weights(demo: DemoStates, env, cfg: SamplerConfig, rng: np.random.Gene
         ).value
     w = 1.0 / np.maximum(omega, cfg.epsilon)
     w /= w.max()
-    return SamplerWeights(w=w, norm=float(w.sum()))
-
-
-def uniform_weights(demo: DemoStates) -> SamplerWeights:
-    """All ones, forever."""
-    return init_weights(demo)
+    return SamplerWeights(w)
 
 
 # -- sampler objects ----------------------------------------------------------
@@ -323,4 +310,4 @@ def load_weights_csv(path) -> tuple[DemoStates, SamplerWeights]:
             states.append(State(Vec2(float(px), float(py)), Vec2(float(vx), float(vy))))
             w.append(float(weight))
     demo = DemoStates(states=tuple(states), trajectory_ids=tuple([-1] * len(states)))
-    return demo, SamplerWeights.from_vector(np.array(w))
+    return demo, SamplerWeights(np.array(w, dtype=np.float64))
