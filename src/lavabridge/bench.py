@@ -179,8 +179,7 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
         )
         demo_all = archive.demo_states()
         if cfg.method in SAMPLER_METHODS:
-            m = min(cfg.demo_subset, len(demo_all))
-            demo_sub = subsample_states(archive, m, seed)
+            demo_sub = subsample_states(archive, cfg.demo_subset, seed)
 
     learner = SACLearner(
         cfg.learner,
@@ -190,7 +189,14 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
     )
     buffer = ReplayBuffer(cfg.learner.buffer_capacity)
     if cfg.method in PREFILL_METHODS:
-        prefill_demo(buffer, archive.transitions())
+        transitions = archive.transitions()
+        if cfg.learner.buffer_capacity - len(transitions) < cfg.learner.batch_size:
+            raise ValueError(
+                f"{len(transitions)} demo transitions leave fewer than batch_size="
+                f"{cfg.learner.batch_size} online slots in buffer_capacity="
+                f"{cfg.learner.buffer_capacity}; no update could ever run"
+            )
+        prefill_demo(buffer, transitions)
 
     scratch_env = cfg.env.build(cfg.horizon)
     sampler = _build_sampler(cfg, demo_sub, scratch_env)

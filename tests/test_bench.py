@@ -139,6 +139,18 @@ class TestRunTraining:
         with pytest.raises(ArchiveFormatError, match="geometry"):
             run_training(cfg)
 
+    def test_demo_subset_larger_than_archive_rejected(self, archive_path):
+        cfg = tiny_config("auxss", archive_path, demo_subset=401)
+        with pytest.raises(ValueError, match="subset size 401"):
+            run_training(cfg)
+
+    @pytest.mark.parametrize("capacity", [420, 400])
+    def test_prefill_leaving_no_batch_rejected(self, archive_path, capacity):
+        learner = LearnerConfig(batch_size=32, buffer_capacity=capacity, hidden=(16, 16))
+        cfg = tiny_config("hysac", archive_path, learner=learner)
+        with pytest.raises(ValueError, match="fewer than batch_size=32"):
+            run_training(cfg)
+
     def test_final_row_carries_eval(self, archive_path):
         cfg = tiny_config("auxss", archive_path)
         result = run_training(cfg)
