@@ -80,12 +80,16 @@ class SamplerWeights:
 class SamplerConfig:
     """Knobs shared by the sampler family; defaults are desk-scale choices."""
 
-    kind: str = "auxss"
+    kind: str = "auxss"          # recorded in config.txt; run.method picks the sampler
     delta: float = 0.05          # weight floor, keeps every state sampleable
     sigma: float = 0.5           # smoothing kernel length in state units
     scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     epsilon: float = 0.05        # safety-weighting floor on estimated safety
-    k_safety: int = 4            # safety rollout horizon (steps)
+    # Safety rollout horizon (steps). With the default geometry every demo
+    # state is fully safe under the random policy for k <= 10 (one distinct
+    # weight over 150 states at n=64; 13 at k=20, 26 at k=40), so at this
+    # default the omega sampler is the uniform sampler.
+    k_safety: int = 4
     n_safety_rollouts: int = 64
     tau0: float = 0.5            # goal-distance temperature at t=0
     tau1: float = 5.0            # goal-distance temperature at t=T_max
