@@ -314,4 +314,4 @@ def load_weights_csv(path) -> tuple[DemoStates, SamplerWeights]:
             states.append(State(Vec2(float(px), float(py)), Vec2(float(vx), float(vy))))
             w.append(float(weight))
     demo = DemoStates(states=tuple(states), trajectory_ids=tuple([-1] * len(states)))
-    return demo, SamplerWeights(np.array(w, dtype=np.float64))
+    return demo, SamplerWeights(np.array(w))

@@ -7,8 +7,8 @@ digest on purpose must say why.
 
 The metrics digest alone cannot tell ``sac`` from ``hysac`` at this size,
 because every episode times out; the parameter digest can. ``omega`` runs
-with ``k_safety=20``: at the default horizon every demo state is fully safe
-under the random policy, so every omega weight is 1.0 and the run would be
+with ``k_safety=20``: for k <= 10 every demo state is fully safe under the
+random policy, so every omega weight is 1.0 and the run would be
 byte-identical to ``uniform``.
 """
 
