@@ -323,6 +323,9 @@ def _job_env() -> dict:
     # One BLAS thread per job: jobs are the parallelism unit and stay deterministic.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    # Jobs import the same lavabridge as this process, installed or not.
+    root = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     return env
 
 

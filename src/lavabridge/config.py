@@ -14,8 +14,9 @@ an empty value is None for optional fields. For example::
     sampler.delta = 0.05
 
 ``RunConfig.to_text`` writes every field the same way, so a run's
-``config.txt`` reloads to an equal config. Unknown keys and tuples of the
-wrong length are rejected to catch typos early.
+``config.txt`` reloads to an equal config; a value that could not reload
+(``#``, line breaks, surrounding spaces) is rejected when the config is built.
+Unknown keys and tuples of the wrong length are rejected to catch typos early.
 """
 
 from __future__ import annotations
@@ -117,13 +118,20 @@ class RunConfig:
             raise ValueError("eval interval and episode count must be positive")
         if self.demo_subset < 1:
             raise ValueError("demo_subset must be >= 1")
+        for key, text in self._written():
+            if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+                raise ValueError(f"{key} = {text!r} cannot be written to config.txt: "
+                                 "no '#', line breaks or surrounding spaces")
+
+    def _written(self) -> list[tuple[str, str]]:
+        """(``section.name``, value text) for every field, run keys first."""
+        objs = {"run": self, **{name: getattr(self, name) for name in _section_types()}}
+        return [(f"{section}.{f.name}", _format(getattr(obj, f.name)))
+                for section, obj in objs.items() for f in fields(obj) if f.name not in objs]
 
     def to_text(self) -> str:
         """Every field as one ``section.name = value`` line, run keys first."""
-        objs = {"run": self, **{name: getattr(self, name) for name in _section_types()}}
-        lines = [f"{section}.{f.name} = {_format(getattr(obj, f.name))}".rstrip()
-                 for section, obj in objs.items() for f in fields(obj) if f.name not in objs]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {text}".rstrip() + "\n" for key, text in self._written())
 
 
 def _section_types() -> dict[str, type]:

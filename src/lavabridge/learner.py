@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import Action, Cause, LavaBridgeEnv, State, Vec2
-from .nets import MLP, Adam, SquashedGaussianHead, TwinMLP, ema_update
+from .nets import MLP, Adam, SquashedGaussianHead, ema_update
 from .replay import ReplayBuffer, Transition
 from .samplers import DemoStates
 
@@ -99,8 +99,8 @@ class SACLearner:
         pol_sizes = (state_dim, *cfg.hidden, 2 * act_dim)
         q_sizes = (state_dim + act_dim, *cfg.hidden, 1)
         self.policy = MLP(pol_sizes, init_rng, dtype=self.dtype)
-        self.q = TwinMLP(q_sizes, init_rng, dtype=self.dtype)
-        self.q_target = TwinMLP(q_sizes, dtype=self.dtype)
+        self.q = MLP(q_sizes, init_rng, dtype=self.dtype, members=2)
+        self.q_target = MLP(q_sizes, dtype=self.dtype, members=2)
         self.q_target.copy_from(self.q)
         self.head = SquashedGaussianHead(act_dim, f_max, cfg.log_std_min, cfg.log_std_max)
 
@@ -113,7 +113,7 @@ class SACLearner:
     def act(self, state, stochastic: bool, rng: np.random.Generator | None = None) -> Action:
         """Single-state action; deterministic mode takes the squashed mean."""
         s = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=np.float64)
-        out, _ = self.policy.forward(s[None, :])
+        out = self.policy.forward(s[None, :])[0][0]
         if not np.all(np.isfinite(out)):
             raise DivergenceError("policy network produced non-finite output")
         if stochastic:
@@ -145,7 +145,7 @@ class SACLearner:
         batch = s.shape[0]
 
         # Critic targets (no gradients flow here).
-        out2, _ = self.policy.forward(s2)
+        out2 = self.policy.forward(s2)[0][0]
         xi2 = rng.standard_normal((batch, self.act_dim), dtype=dt)
         a2, logp2, _ = self.head.sample(out2, xi2)
         sa2 = np.concatenate([s2, a2], axis=1)
@@ -199,7 +199,7 @@ class SACLearner:
         batch = s.shape[0]
         alpha = self.cfg.alpha
         out, pc = self.policy.forward(s)
-        a_new, logp, head_cache = self.head.sample(out, xi)
+        a_new, logp, head_cache = self.head.sample(out[0], xi)
         sa_new = np.concatenate([s, a_new], axis=1)
         qq, qc = self.q.forward(sa_new)
         take1 = qq[0, :, 0] <= qq[1, :, 0]
@@ -213,7 +213,7 @@ class SACLearner:
         d_action = dx[0, :, self.state_dim:] + dx[1, :, self.state_dim:]
         d_logp = np.full(batch, alpha / batch, dtype=dt)
         d_out = self.head.backward(head_cache, d_action, d_logp)
-        grads, _ = self.policy.backward(pc, d_out)
+        grads, _ = self.policy.backward(pc, d_out[None])
         return loss, grads, logp
 
     # -- parameter access ---------------------------------------------------------
@@ -221,11 +221,11 @@ class SACLearner:
     def named_networks(self) -> dict[str, list[np.ndarray]]:
         """Parameter arrays by network name, fit for checkpointing."""
         return {
-            "policy": self.policy.params,
-            "q1": self.q.net_params(0),
-            "q2": self.q.net_params(1),
-            "q1_target": self.q_target.net_params(0),
-            "q2_target": self.q_target.net_params(1),
+            "policy": self.policy.member_params(0),
+            "q1": self.q.member_params(0),
+            "q2": self.q.member_params(1),
+            "q1_target": self.q_target.member_params(0),
+            "q2_target": self.q_target.member_params(1),
         }
 
 

@@ -1,16 +1,19 @@
 """Small fully-connected networks with hand-written backprop.
 
-Everything the actor-critic learner needs: an MLP with a smooth saturating
-activation, Adam, and the squashed-Gaussian policy head. Gradients are coded
-by hand and checked against central finite differences in the test suite,
-which is why every nonlinearity here is smooth (the hidden activation is
-x / sqrt(1 + x^2); the log-std bound is tanh-shaped) rather than clipped or
+Everything the actor-critic learner needs: one MLP class with a smooth
+saturating activation, Adam, and the squashed-Gaussian policy head. Gradients
+are coded by hand and checked against central finite differences in the test
+suite, which is why every nonlinearity here is smooth (the hidden activation
+is x / sqrt(1 + x^2); the log-std bound is tanh-shaped) rather than clipped or
 rectified.
 
-Parameters of one network live in a single flat vector with per-layer views,
-so optimizer and target-averaging updates are a handful of large vector ops.
-The training dtype is configurable: float32 for the hot loop, float64 where
-finite-difference comparisons need the headroom.
+An MLP holds ``members`` same-shaped networks along a leading axis and runs
+them together on a shared input batch: the policy is one member, the twin
+critics (and their targets) are two. All parameters of an MLP live in a single
+flat vector with per-layer views, so optimizer and target-averaging updates
+are a handful of large vector ops. The training dtype is configurable:
+float32 for the hot loop, float64 where finite-difference comparisons need the
+headroom.
 """
 
 from __future__ import annotations
@@ -19,24 +22,29 @@ import math
 
 import numpy as np
 
-__all__ = ["MLP", "TwinMLP", "Adam", "SquashedGaussianHead", "ema_update"]
+__all__ = ["MLP", "Adam", "SquashedGaussianHead", "ema_update"]
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 class MLP:
-    """Feed-forward net: smooth saturating hidden units, linear output.
+    """``members`` same-shaped feed-forward nets on one shared input batch.
 
-    ``params`` is the flat list [W0, b0, W1, b1, ...] of views into ``flat``;
-    weights initialize uniformly in +-1/sqrt(fan_in).
+    Hidden units are smooth and saturating, the output is linear. ``params``
+    is the flat list [W0, b0, W1, b1, ...] of views into ``flat``, with
+    weights (members, in, out) and biases (members, 1, out), so one batched
+    matmul per layer advances every member. Weights initialize uniformly in
+    +-1/sqrt(fan_in).
     """
 
-    def __init__(self, sizes, rng: np.random.Generator | None = None, dtype=np.float64):
+    def __init__(self, sizes, rng: np.random.Generator | None = None, dtype=np.float64,
+                 members: int = 1):
         self.sizes = tuple(int(s) for s in sizes)
         if len(self.sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        self.members = int(members)
         self.dtype = np.dtype(dtype)
-        total = sum((i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
+        total = sum(self.members * (i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
         self.flat = np.zeros(total, dtype=self.dtype)
         self.params: list[np.ndarray] = self._views(self.flat)
         if rng is not None:
@@ -48,95 +56,17 @@ class MLP:
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         views = []
         off = 0
+        m = self.members
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            views.append(flat[off : off + fan_in * fan_out].reshape(fan_in, fan_out))
-            off += fan_in * fan_out
-            views.append(flat[off : off + fan_out])
-            off += fan_out
+            views.append(flat[off : off + m * fan_in * fan_out].reshape(m, fan_in, fan_out))
+            off += m * fan_in * fan_out
+            views.append(flat[off : off + m * fan_out].reshape(m, 1, fan_out))
+            off += m * fan_out
         return views
 
-    def unflatten(self, flat_grad: np.ndarray) -> list[np.ndarray]:
-        """Per-parameter views of a flat gradient, aligned with ``params``."""
-        return self._views(flat_grad)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.sizes) - 1
-
-    def forward(self, x: np.ndarray):
-        """Returns (output, cache) for a (batch, in)-shaped input."""
-        acts = [x]
-        h = x
-        last = self.n_layers - 1
-        for layer in range(self.n_layers):
-            z = h @ self.params[2 * layer] + self.params[2 * layer + 1]
-            if layer != last:
-                r = 1.0 / np.sqrt(1.0 + z * z)  # activation x/sqrt(1+x^2); slope r^3
-                h = z * r
-                acts.append((h, r))
-            else:
-                h = z
-                acts.append(h)
-        return h, acts
-
-    def backward(self, cache, dout: np.ndarray):
-        """Gradient of a scalar loss given d(loss)/d(output).
-
-        Returns (flat_grad, dx); ``unflatten`` maps the flat gradient back to
-        per-parameter arrays. Each call allocates a fresh gradient buffer.
-        """
-        flat_grad = np.zeros_like(self.flat)
-        grads = self._views(flat_grad)
-        delta = dout
-        for layer in range(self.n_layers - 1, -1, -1):
-            a_in = cache[layer] if layer == 0 else cache[layer][0]
-            np.matmul(a_in.T, delta, out=grads[2 * layer])
-            delta.sum(axis=0, out=grads[2 * layer + 1])
-            delta = delta @ self.params[2 * layer].T
-            if layer != 0:
-                r = cache[layer][1]
-                delta = delta * (r * r * r)
-        return flat_grad, delta
-
-    def copy_from(self, other: "MLP") -> None:
-        self.flat[...] = other.flat
-
-
-class TwinMLP:
-    """Two same-shaped MLPs evaluated together on a shared input batch.
-
-    Layer parameters are stacked along a leading axis of 2, so one batched
-    matmul per layer advances both networks. Used for the twin critics and
-    their targets; ``net_params(i)`` exposes each member's parameter views
-    individually (e.g. for checkpoints).
-    """
-
-    def __init__(self, sizes, rng: np.random.Generator | None = None, dtype=np.float64):
-        self.sizes = tuple(int(s) for s in sizes)
-        if len(self.sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        self.dtype = np.dtype(dtype)
-        total = sum(2 * (i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
-        self.flat = np.zeros(total, dtype=self.dtype)
-        self.params = self._views(self.flat)  # [(2,in,out), (2,1,out), ...]
-        if rng is not None:
-            for fan_in, (w, b) in zip(self.sizes[:-1], zip(self.params[0::2], self.params[1::2])):
-                bound = 1.0 / math.sqrt(fan_in)
-                w[...] = rng.uniform(-bound, bound, size=w.shape)
-                b[...] = rng.uniform(-bound, bound, size=b.shape)
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        views = []
-        off = 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            views.append(flat[off : off + 2 * fan_in * fan_out].reshape(2, fan_in, fan_out))
-            off += 2 * fan_in * fan_out
-            views.append(flat[off : off + 2 * fan_out].reshape(2, 1, fan_out))
-            off += 2 * fan_out
-        return views
-
-    def net_params(self, i: int, flat: np.ndarray | None = None) -> list[np.ndarray]:
-        """Per-parameter views of member ``i`` (weights (in,out), biases (out,))."""
+    def member_params(self, i: int, flat: np.ndarray | None = None) -> list[np.ndarray]:
+        """Member ``i``'s views [W0 (in,out), b0 (out,), ...] into ``flat``
+        (default: the parameters; pass a flat gradient to split it the same way)."""
         views = self.params if flat is None else self._views(flat)
         out = []
         for w, b in zip(views[0::2], views[1::2]):
@@ -149,14 +79,14 @@ class TwinMLP:
         return len(self.sizes) - 1
 
     def forward(self, x: np.ndarray):
-        """Input (batch, in); returns (output (2, batch, out), cache)."""
+        """Input (batch, in); returns (output (members, batch, out), cache)."""
         acts = [x]
-        h = x  # (batch, in) broadcasts against (2, in, out) on the first layer
+        h = x  # (batch, in) broadcasts against (members, in, out) on the first layer
         last = self.n_layers - 1
         for layer in range(self.n_layers):
             z = np.matmul(h, self.params[2 * layer]) + self.params[2 * layer + 1]
             if layer != last:
-                r = 1.0 / np.sqrt(1.0 + z * z)
+                r = 1.0 / np.sqrt(1.0 + z * z)  # activation x/sqrt(1+x^2); slope r^3
                 h = z * r
                 acts.append((h, r))
             else:
@@ -165,28 +95,27 @@ class TwinMLP:
         return h, acts
 
     def backward(self, cache, dout: np.ndarray):
-        """Gradients for both members given d(loss)/d(output) of shape (2, batch, out).
+        """Gradient of a scalar loss given d(loss)/d(output) of shape (members, batch, out).
 
-        Returns (flat_grad, dx) with dx of shape (2, batch, in): the input
-        gradient contributed through each member separately.
+        Returns (flat_grad, dx) with dx of shape (members, batch, in): the
+        input gradient through each member separately. ``member_params`` splits
+        the flat gradient per member. Each call allocates a fresh gradient buffer.
         """
         flat_grad = np.zeros_like(self.flat)
         grads = self._views(flat_grad)
         delta = dout
         for layer in range(self.n_layers - 1, -1, -1):
             a_in = cache[layer] if layer == 0 else cache[layer][0]
-            if a_in.ndim == 2:  # shared input batch on the first layer
-                np.matmul(a_in.T, delta, out=grads[2 * layer])
-            else:
-                np.matmul(a_in.transpose(0, 2, 1), delta, out=grads[2 * layer])
+            # The shared first-layer input is 2-D, hidden activations are 3-D.
+            np.matmul(np.swapaxes(a_in, -1, -2), delta, out=grads[2 * layer])
             np.sum(delta, axis=1, keepdims=True, out=grads[2 * layer + 1])
-            delta = np.matmul(delta, self.params[2 * layer].transpose(0, 2, 1))
+            delta = np.matmul(delta, np.swapaxes(self.params[2 * layer], -1, -2))
             if layer != 0:
                 r = cache[layer][1]
                 delta = delta * (r * r * r)
         return flat_grad, delta
 
-    def copy_from(self, other: "TwinMLP") -> None:
+    def copy_from(self, other: "MLP") -> None:
         self.flat[...] = other.flat
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo and exhaustive estimators of short-horizon state safety.
+"""A Monte Carlo estimator of short-horizon state safety and its exact oracle.
 
 The safety of a state is the probability, under a given policy, that a
 rollout of at most ``k`` steps avoids hazardous termination. Lava counts as
@@ -13,7 +13,6 @@ All estimators leave the caller's environment state untouched.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .env import Action, Cause, LavaBridgeEnv, State, Vec2
 
 __all__ = [
     "SafetyEstimate",
-    "GridPolicy",
     "action_grid",
     "uniform_random_policy",
     "estimate_safety",
@@ -31,7 +29,7 @@ __all__ = [
     "save_safety_field_csv",
 ]
 
-# Cost guard for exhaustive enumeration: (grid^2)^k rollouts.
+# Cost guard for brute-force enumeration: (grid^2)^k action sequences.
 _MAX_ENUMERATION = 10_000_000
 
 
@@ -67,19 +65,6 @@ def action_grid(grid: int, f_max: float) -> tuple[Action, ...]:
     return tuple(Action(Vec2(float(fx), float(fy))) for fx in axis for fy in axis)
 
 
-class GridPolicy:
-    """Uniform-random policy over a finite action lattice.
-
-    Carries its action set so estimators can enumerate it exhaustively.
-    """
-
-    def __init__(self, grid: int, f_max: float):
-        self.actions = action_grid(grid, f_max)
-
-    def __call__(self, state: State, rng: np.random.Generator) -> Action:
-        return self.actions[int(rng.integers(len(self.actions)))]
-
-
 def _rollout_is_safe(env: LavaBridgeEnv, actions, k: int, goal_unsafe: bool) -> bool:
     # Caller has already reset the env to the probe state.
     for step, action in zip(range(k), actions):
@@ -99,45 +84,26 @@ def estimate_safety(
     policy,
     k: int,
     n: int,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     *,
     goal_unsafe: bool = False,
-    exhaustive: bool = False,
 ) -> SafetyEstimate:
     """Monte Carlo state-safety estimate from ``n`` independent k-step rollouts.
 
     Each rollout draws its actions from a child stream spawned off ``rng``, so
     estimates are reproducible per seed and rollouts at horizon k+1 extend the
     same action prefixes as at horizon k.
-
-    With ``exhaustive=True`` the policy must expose a finite ``.actions``
-    tuple; every one of ``len(actions)**k`` sequences is rolled out exactly
-    once and the returned value is exact for that policy (``n`` and ``rng``
-    are ignored).
     """
     if k < 1:
         raise ValueError("safety horizon k must be >= 1")
     if env.is_terminal(state) is not Cause.NONE:
         raise ValueError("safety is undefined for terminal states")
+    if n < 1:
+        raise ValueError("rollout count n must be >= 1")
+    if rng is None:
+        raise ValueError("Monte Carlo estimation needs an rng")
     snap = env.snapshot()
     try:
-        if exhaustive:
-            actions = getattr(policy, "actions", None)
-            if not actions:
-                raise ValueError("exhaustive estimation needs a policy with a finite .actions set")
-            total = len(actions) ** k
-            if total > _MAX_ENUMERATION:
-                raise ValueError(f"enumeration of {total} rollouts exceeds the cost guard")
-            safe = 0
-            for seq in itertools.product(actions, repeat=k):
-                env.reset_to(state)
-                safe += _rollout_is_safe(env, seq, k, goal_unsafe)
-            return SafetyEstimate(value=safe / total, n_rollouts=total, k=k)
-
-        if n < 1:
-            raise ValueError("rollout count n must be >= 1")
-        if rng is None:
-            raise ValueError("Monte Carlo estimation needs an rng")
         safe = 0
         for child in rng.spawn(n):
             env.reset_to(state)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lavabridge.bench import _job_env
 from lavabridge.cli import main
 from lavabridge.demos import save_archive
 
@@ -79,8 +80,9 @@ def test_sweep_subprocesses(workdir):
 
 
 def test_module_entrypoint_help():
+    # Run the way a sweep job runs, so it works without lavabridge installed.
     proc = subprocess.run([sys.executable, "-m", "lavabridge.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_job_env())
     assert proc.returncode == 0
     assert "gen-demos" in proc.stdout
     assert "safety-map" in proc.stdout

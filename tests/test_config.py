@@ -238,6 +238,9 @@ class TestValidation:
         ("sampler.scale", "0,1,1,1"),
         ("sampler.n_safety_rollouts", "0"),
         ("run.demo_subset", "0"),
+        ("run.demo_archive", "runs/#1/demos.csv"),  # would reload cut at the comment
+        ("run.demo_archive", "runs/a\nb.csv"),
+        ("sampler.kind", "a#b"),
     ])
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ValueError, match=key.split(".")[1]):

@@ -34,29 +34,43 @@ def max_rel_error(analytic, numeric):
 
 
 class TestMLP:
+    """Checks of the network itself; ``TestMLPTwoMembers`` reruns them with two members."""
+
+    MEMBERS = 1
+
     def test_forward_shapes(self):
-        net = MLP((4, 8, 8, 3), np.random.default_rng(0))
+        m = self.MEMBERS
+        net = MLP((4, 8, 8, 3), np.random.default_rng(0), members=m)
+        assert net.params[0].shape == (m, 4, 8) and net.params[1].shape == (m, 1, 8)
         y, cache = net.forward(np.zeros((5, 4)))
-        assert y.shape == (5, 3)
+        assert y.shape == (m, 5, 3)
         assert len(cache) == 4
+        _, dx = net.backward(cache, np.ones_like(y))
+        assert dx.shape == (m, 5, 4)
 
     def test_zero_net_outputs_zero(self):
-        net = MLP((4, 8, 2))
+        net = MLP((4, 8, 2), members=self.MEMBERS)
         y, _ = net.forward(np.ones((1, 4)))
         assert np.all(y == 0.0)
 
     def test_params_are_views_of_flat(self):
-        net = MLP((3, 4, 2), np.random.default_rng(1))
+        m = self.MEMBERS
+        net = MLP((3, 4, 2), np.random.default_rng(1), members=m)
         net.flat[...] = 0.0
         assert all(np.all(p == 0.0) for p in net.params)
-        net.params[0][0, 0] = 5.0
+        net.params[0][0, 0, 0] = 5.0
         assert net.flat[0] == 5.0
+        last = net.member_params(m - 1)
+        assert [p.shape for p in last] == [(3, 4), (4,), (4, 2), (2,)]
+        last[0][0, 0] = 7.0
+        assert net.flat[(m - 1) * 3 * 4] == 7.0
 
     def test_param_gradients_match_finite_differences(self):
+        m = self.MEMBERS
         rng = np.random.default_rng(1)
-        net = MLP((4, 8, 8, 3), rng)
+        net = MLP((4, 8, 8, 3), rng, members=m)
         x = rng.standard_normal((6, 4))
-        w = rng.standard_normal((6, 3))  # fixed mixing to make the loss scalar
+        w = rng.standard_normal((m, 6, 3))  # fixed mixing to make the loss scalar
 
         def loss():
             y, _ = net.forward(x)
@@ -64,12 +78,13 @@ class TestMLP:
 
         y, cache = net.forward(x)
         flat, _ = net.backward(cache, w * (1.0 - np.tanh(y) ** 2))
-        numeric = central_diff(loss, net.params)
-        assert max_rel_error(net.unflatten(flat), numeric) <= TOL
+        for i in range(m):
+            numeric = central_diff(loss, net.member_params(i))
+            assert max_rel_error(net.member_params(i, flat), numeric) <= TOL
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        net = MLP((3, 8, 1), rng)
+        net = MLP((3, 8, 1), rng, members=self.MEMBERS)
         x = rng.standard_normal((4, 3))
         y, cache = net.forward(x)
         _, dx = net.backward(cache, np.ones_like(y))
@@ -82,17 +97,44 @@ class TestMLP:
             lo = float(np.sum(net.forward(x)[0]))
             x.reshape(-1)[i] = orig
             numeric.reshape(-1)[i] = (hi - lo) / (2 * H)
-        assert max_rel_error([dx], [numeric]) <= TOL
+        assert max_rel_error([dx.sum(axis=0)], [numeric]) <= TOL
 
     def test_float32_matches_float64_forward(self):
         rng = np.random.default_rng(3)
-        net64 = MLP((4, 8, 2), rng)
-        net32 = MLP((4, 8, 2), dtype=np.float32)
+        net64 = MLP((4, 8, 2), rng, members=self.MEMBERS)
+        net32 = MLP((4, 8, 2), dtype=np.float32, members=self.MEMBERS)
         net32.flat[...] = net64.flat
         x = rng.standard_normal((5, 4))
         y64, _ = net64.forward(x)
         y32, _ = net32.forward(x.astype(np.float32))
         assert np.allclose(y32, y64, atol=1e-5)
+
+
+class TestMLPTwoMembers(TestMLP):
+    MEMBERS = 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_members_match_two_single_nets_bitwise(dtype):
+    # The twin critics rely on a members=2 net computing exactly what two
+    # members=1 nets holding the same parameters compute, at the real size.
+    sizes = (6, 64, 64, 1)
+    rng = np.random.default_rng(8)
+    twin = MLP(sizes, rng, dtype=dtype, members=2)
+    x = rng.standard_normal((256, 6)).astype(dtype)
+    dout = rng.standard_normal((2, 256, 1)).astype(dtype)
+    y2, cache2 = twin.forward(x)
+    grad2, dx2 = twin.backward(cache2, dout)
+    for i in range(2):
+        single = MLP(sizes, dtype=dtype)
+        for p, q in zip(single.member_params(0), twin.member_params(i)):
+            p[...] = q
+        y1, cache1 = single.forward(x)
+        grad1, dx1 = single.backward(cache1, dout[i : i + 1])
+        assert np.array_equal(y1[0], y2[i])
+        assert np.array_equal(dx1[0], dx2[i])
+        for g1, g2 in zip(single.member_params(0, grad1), twin.member_params(i, grad2)):
+            assert np.array_equal(g1, g2)
 
 
 class TestAdamAndTargets:
@@ -169,8 +211,8 @@ class TestGradientChecks:
         _, grad = learner.critic_loss_and_grads(s, a, y)
         for member in (0, 1):
             numeric = central_diff(lambda: learner.critic_loss_and_grads(s, a, y)[0],
-                                   learner.q.net_params(member))
-            analytic = learner.q.net_params(member, grad)
+                                   learner.q.member_params(member))
+            analytic = learner.q.member_params(member, grad)
             assert max_rel_error(analytic, numeric) <= TOL
 
     def test_policy_gradients(self):
@@ -180,7 +222,7 @@ class TestGradientChecks:
         xi = rng.standard_normal((16, 2))
 
         # Keep the twin-min selection stable under the +-1e-5 perturbations.
-        out, _ = learner.policy.forward(s)
+        out = learner.policy.forward(s)[0][0]
         a_new, _, _ = learner.head.sample(out, xi)
         sa = np.concatenate([s, a_new], axis=1)
         qq = learner.q.forward(sa)[0]
@@ -188,8 +230,8 @@ class TestGradientChecks:
 
         _, grads, _ = learner.policy_loss_and_grads(s, xi)
         numeric = central_diff(lambda: learner.policy_loss_and_grads(s, xi)[0],
-                               learner.policy.params)
-        assert max_rel_error(learner.policy.unflatten(grads), numeric) <= TOL
+                               learner.policy.member_params(0))
+        assert max_rel_error(learner.policy.member_params(0, grads), numeric) <= TOL
 
     def test_policy_gradients_small_alpha(self):
         learner = make_learner(alpha=0.002, seed=6)
@@ -198,5 +240,5 @@ class TestGradientChecks:
         xi = rng.standard_normal((8, 2))
         _, grads, _ = learner.policy_loss_and_grads(s, xi)
         numeric = central_diff(lambda: learner.policy_loss_and_grads(s, xi)[0],
-                               learner.policy.params)
-        assert max_rel_error(learner.policy.unflatten(grads), numeric) <= TOL
+                               learner.policy.member_params(0))
+        assert max_rel_error(learner.policy.member_params(0, grads), numeric) <= TOL

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from lavabridge.env import Action, Cause, LavaBridgeEnv, State, Vec2
 from lavabridge.safety import (
-    GridPolicy,
     SafetyEstimate,
     action_grid,
     brute_force_safety,
@@ -111,18 +111,27 @@ class TestBruteForce:
         assert 0.0 < value < 1.0
 
     def test_exhaustive_estimate_matches_exactly(self, env):
-        # The rollout estimator under full enumeration must agree with the
-        # depth-first oracle exactly, state by state.
+        # The rollout estimator, run once on every lattice action sequence,
+        # must agree with the depth-first oracle exactly, state by state.
         probes = [MIXED, SAFE, DOOMED, mk_state(4.4, 5.35, 0.1, 0.7), mk_state(5.6, 5.2, -0.3, 0.5)]
-        policy = GridPolicy(5, env.f_max)
+        sequences = list(itertools.product(action_grid(5, env.f_max), repeat=2))
+        assert len(sequences) == 625
+
+        def replay(seq):
+            it = iter(seq)
+            return lambda state, rng: next(it)
+
         for s in probes:
             expected = brute_force_safety(env, s, k=2, grid=5)
-            est = estimate_safety(env, s, policy, k=2, n=None, rng=None, exhaustive=True)
-            assert est.value == expected
-            assert est.n_rollouts == 625
+            safe = sum(
+                estimate_safety(env, s, replay(seq), k=2, n=1, rng=np.random.default_rng(0)).value
+                for seq in sequences
+            )
+            assert safe / len(sequences) == expected
 
     def test_mc_with_grid_policy_converges_to_oracle(self, env):
-        policy = GridPolicy(5, env.f_max)
+        actions = action_grid(5, env.f_max)
+        policy = lambda state, rng: actions[int(rng.integers(len(actions)))]
         exact = brute_force_safety(env, MIXED, k=2, grid=5)
         n = 4096
         est = estimate_safety(env, MIXED, policy, k=2, n=n, rng=np.random.default_rng(9))
@@ -164,14 +173,6 @@ class TestActionGrid:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             action_grid(1, 1.0)
-
-    def test_grid_policy_draws_from_lattice(self, env):
-        policy = GridPolicy(3, 1.0)
-        lattice = set((a.force.x, a.force.y) for a in policy.actions)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            a = policy(SAFE, rng)
-            assert (a.force.x, a.force.y) in lattice
 
 
 class TestSafetyField:
