@@ -37,7 +37,7 @@ from .config import (
     RunConfig,
 )
 from .demos import load_archive, subsample_states
-from .env import Cause, LavaBridgeEnv
+from .env import Action, Cause, LavaBridgeEnv, Vec2
 from .learner import SACLearner, jsrl_start_state, train_for_one_episode
 from .replay import ReplayBuffer, prefill_demo
 from .rngs import substream
@@ -117,25 +117,45 @@ def evaluate(
 
     Returns (success rate, mean discounted return). Success means the episode
     ended by reaching the goal.
+
+    ``learner`` needs one method, ``act_batch(states (N, 4)) -> forces (N, 2)``,
+    whose row i is the deterministic action for state i. All ``n_episodes``
+    run in lockstep: their start states are drawn first, in episode order,
+    then each step makes one ``act_batch`` call over the episodes still
+    running and steps each of them on ``env`` from its own snapshot. The
+    result is bitwise equal to running the episodes one at a time. ``env`` is
+    left in the state of the last episode stepped.
     """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
-    successes = 0
-    total_return = 0.0
+    snaps = []
     for _ in range(n_episodes):
-        s0 = env.sample_start(which, rng)
-        env.reset_to(s0)
-        discount = 1.0
-        ep_return = 0.0
-        for _ in range(horizon):
-            action = learner.act(env.state, stochastic=False)
-            res = env.step(action)
-            ep_return += discount * res.reward
-            discount *= gamma
+        env.reset_to(env.sample_start(which, rng))
+        snaps.append(env.snapshot())
+    returns = [0.0] * n_episodes
+    successes = 0
+    active = list(range(n_episodes))
+    discount = 1.0
+    for _ in range(horizon):
+        if not active:
+            break
+        forces = learner.act_batch(np.array([snaps[i][:4] for i in active]))
+        running = []
+        for i, (fx, fy) in zip(active, forces.tolist()):
+            env.restore(snaps[i])
+            res = env.step(Action(Vec2(fx, fy)))
+            returns[i] += discount * res.reward
             if res.terminated:
-                if res.cause is Cause.GOAL:
-                    successes += 1
-                break
+                successes += res.cause is Cause.GOAL
+            else:
+                snaps[i] = env.snapshot()
+                running.append(i)
+        active = running
+        discount *= gamma
+    total_return = 0.0
+    # Added in episode order like the one-at-a-time loop; not sum(), which
+    # compensates rounding on Python >= 3.12.
+    for ep_return in returns:
         total_return += ep_return
     return successes / n_episodes, total_return / n_episodes
 
@@ -337,8 +357,12 @@ def sweep(cfg: RunConfig, seeds, out_dir, jobs: int = 1, verbose: bool = False) 
     Returns the aggregate CSV path.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("sweep seeds must be distinct")
+    if jobs < 1:
+        raise ValueError(f"sweep jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / "config.txt"
@@ -364,7 +388,7 @@ def sweep(cfg: RunConfig, seeds, out_dir, jobs: int = 1, verbose: bool = False) 
             "error": "" if proc.returncode == 0 else (err_lines[-1] if err_lines else "unknown"),
         }
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(run_job, seeds))
 
     with open(out_dir / "jobs.csv", "w", newline="") as fh:

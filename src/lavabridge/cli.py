@@ -23,6 +23,17 @@ from .rngs import substream
 from .safety import safety_field, save_safety_field_csv
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: a positive integer, checked at parse time."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _add_config_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
 
@@ -104,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-demos", help="generate scripted-expert demonstrations")
-    p.add_argument("--n", type=int, required=True, help="number of transitions to keep")
+    p.add_argument("--n", type=_count, required=True, help="number of transitions to keep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
     _add_config_arg(p)
@@ -120,23 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--dist", choices=("id", "ood"), default="id")
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_config_arg(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run a config across seeds")
     _add_config_arg(p)
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds (run.seed, run.seed+1, ...)")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent jobs")
+    p.add_argument("--seeds", type=_count, default=5, help="number of seeds (run.seed, run.seed+1, ...)")
+    p.add_argument("--jobs", type=_count, default=1, help="concurrent jobs")
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("safety-map", help="dump a safety field CSV")
-    p.add_argument("--grid", type=int, default=50, help="cells per axis")
-    p.add_argument("--k", type=int, default=4, help="rollout horizon")
-    p.add_argument("--rollouts", type=int, default=64, help="rollouts per cell")
+    p.add_argument("--grid", type=_count, default=50, help="cells per axis")
+    p.add_argument("--k", type=_count, default=4, help="rollout horizon")
+    p.add_argument("--rollouts", type=_count, default=64, help="rollouts per cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
     _add_config_arg(p)

@@ -124,6 +124,21 @@ class SACLearner:
             a = self.head.mean_action(out)
         return Action(Vec2(float(a[0, 0]), float(a[0, 1])))
 
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
+        """Deterministic squashed-mean forces (N, act_dim) for states (N, state_dim).
+
+        Row i equals ``act(states[i], stochastic=False)`` bit for bit. The
+        input is stacked as (N, 1, in): numpy's matmul then runs the same
+        single-row matrix-vector product once per row that ``act`` runs. A
+        plain (N, in) batch takes the matrix-matrix path, whose rounding
+        differs from it in nearly every row.
+        """
+        s = np.asarray(states, dtype=np.float64)
+        out = self.policy.forward(s[:, None, :])[0][:, 0]
+        if not np.all(np.isfinite(out)):
+            raise DivergenceError("policy network produced non-finite output")
+        return self.head.mean_action(out)
+
     # -- updates ----------------------------------------------------------------
 
     def update_step(self, buffer: ReplayBuffer, rng: np.random.Generator | None = None) -> dict:

@@ -13,8 +13,8 @@ from lavabridge.bench import (
 )
 from lavabridge.config import RunConfig, config_from_mapping
 from lavabridge.demos import save_archive, scripted_expert
-from lavabridge.env import LavaBridgeEnv
-from lavabridge.learner import LearnerConfig
+from lavabridge.env import Cause, LavaBridgeEnv, State, Vec2
+from lavabridge.learner import LearnerConfig, SACLearner
 from lavabridge.samplers import SamplerConfig
 
 
@@ -27,15 +27,46 @@ class ExpertPolicy:
     def act(self, state, stochastic, rng=None):
         return scripted_expert(state, self.geometry)
 
+    def act_batch(self, states):
+        forces = [self.act(State(Vec2(px, py), Vec2(vx, vy)), False).force
+                  for px, py, vx, vy in states.tolist()]
+        return np.array([(f.x, f.y) for f in forces])
+
 
 class RandomPolicy:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def act(self, state, stochastic, rng=None):
-        from lavabridge.env import Action, Vec2
-        fx, fy = self.rng.uniform(-1, 1, size=2)
-        return Action(Vec2(fx, fy))
+    def act_batch(self, states):
+        return self.rng.uniform(-1, 1, size=(len(states), 2))
+
+
+def scalar_evaluate(learner, env, which, n_episodes, horizon, gamma, rng):
+    """Reference for `evaluate`: one episode and one single-row `act` at a time.
+
+    Returns `evaluate`'s (success rate, mean discounted return) and the
+    length of each episode.
+    """
+    successes = 0
+    total_return = 0.0
+    lengths = []
+    for _ in range(n_episodes):
+        env.reset_to(env.sample_start(which, rng))
+        discount = 1.0
+        ep_return = 0.0
+        length = 0
+        for _ in range(horizon):
+            res = env.step(learner.act(env.state, stochastic=False))
+            length += 1
+            ep_return += discount * res.reward
+            discount *= gamma
+            if res.terminated:
+                if res.cause is Cause.GOAL:
+                    successes += 1
+                break
+        total_return += ep_return
+        lengths.append(length)
+    return (successes / n_episodes, total_return / n_episodes), lengths
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +106,34 @@ class TestEvaluate:
         policy = RandomPolicy(1)
         success, _ = evaluate(policy, env, "p0", 100, 500, 0.99, np.random.default_rng(2))
         assert success < 0.02
+
+    # Output-layer scales: 1.0 reaches lava within ~120 steps, 0.0 never moves
+    # and times out, so the episodes of one call end at different steps.
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 0.1, 0.0])
+    @pytest.mark.parametrize("which", ["p0", "ood"])
+    def test_lockstep_matches_scalar_loop(self, scale, which):
+        env = LavaBridgeEnv(horizon=300)
+        learner = SACLearner(LearnerConfig(), init_rng=np.random.default_rng(11),
+                             noise_rng=np.random.default_rng(12))
+        for p in learner.policy.params[-2:]:
+            p *= scale
+        for n_episodes, horizon in ((10, 300), (10, 120), (1, 300)):
+            got = evaluate(learner, env, which, n_episodes, horizon, 0.99,
+                           np.random.default_rng(13))
+            want, lengths = scalar_evaluate(learner, env, which, n_episodes, horizon, 0.99,
+                                            np.random.default_rng(13))
+            assert got == want
+            if n_episodes > 1 and horizon == env.horizon and scale > 0.0:
+                assert len(set(lengths)) > 1
+
+    def test_lockstep_matches_scalar_loop_with_successes(self):
+        env = LavaBridgeEnv()
+        policy = ExpertPolicy(env.geometry)
+        got = evaluate(policy, env, "p0", 8, 500, 0.99, np.random.default_rng(5))
+        want, lengths = scalar_evaluate(policy, env, "p0", 8, 500, 0.99, np.random.default_rng(5))
+        assert got == want
+        assert got[0] > 0.5
+        assert len(set(lengths)) > 1
 
     def test_zero_episodes_rejected(self):
         env = LavaBridgeEnv()

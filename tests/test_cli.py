@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from lavabridge.bench import _job_env
+from lavabridge.bench import _job_env, sweep
 from lavabridge.cli import main
+from lavabridge.config import RunConfig
 from lavabridge.demos import save_archive
 
 
@@ -93,3 +94,32 @@ def test_unknown_method_fails_cleanly(workdir, tmp_path):
     bad.write_text("run.method = nonsense\n")
     with pytest.raises(ValueError, match="unknown method"):
         main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "x"), "--quiet"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-demos", "--n", "0", "--out", "d.csv"],
+    ["eval", "--checkpoint", "c.bin", "--episodes", "0"],
+    ["sweep", "--seeds", "0", "--out-dir", "s"],
+    ["sweep", "--jobs", "0", "--out-dir", "s"],
+    ["sweep", "--jobs", "two", "--out-dir", "s"],
+    ["safety-map", "--grid", "-3", "--out", "f.csv"],
+    ["safety-map", "--k", "0", "--out", "f.csv"],
+    ["safety-map", "--rollouts", "0", "--out", "f.csv"],
+])
+def test_count_flags_rejected_at_parse_time(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds, jobs, match", [
+    ([], 1, "at least one seed"),
+    ([0, 1], 0, "jobs must be >= 1"),
+])
+def test_sweep_rejects_empty_seeds_and_zero_jobs(seeds, jobs, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        sweep(RunConfig(method="sac"), seeds, tmp_path / "sweep", jobs=jobs)
+    assert not (tmp_path / "sweep").exists()

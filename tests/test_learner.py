@@ -54,6 +54,24 @@ class TestAct:
         learner.policy.params[0][0, 0] = float("nan")
         with pytest.raises(DivergenceError):
             learner.act(mk_state(1.0, 1.0), stochastic=False)
+        with pytest.raises(DivergenceError):
+            learner.act_batch(np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0]]))
+
+
+class TestActBatch:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_rows_equal_single_row_act_bitwise(self, dtype, n):
+        # A (N, 4) gemm forward rounds differently from act's (1, 4) gemv in
+        # nearly every row; act_batch must take the gemv path row by row.
+        learner = mk_learner(seed=10 + n, dtype=dtype)
+        rng = np.random.default_rng(n)
+        states = np.column_stack([rng.uniform(0, 10, (n, 2)), rng.uniform(-2, 2, (n, 2))])
+        forces = learner.act_batch(states)
+        assert forces.shape == (n, 2)
+        for s, f in zip(states, forces):
+            a = learner.act(s, stochastic=False)
+            assert (a.force.x, a.force.y) == (f[0], f[1])
 
 
 class TestUpdateStep:
