@@ -12,14 +12,7 @@ from .env import (
     Vec2,
     WorldGeometry,
 )
-from .samplers import (
-    DemoStates,
-    SamplerConfig,
-    SamplerWeights,
-    init_weights,
-    sample_index,
-    update_auxss,
-)
+from .samplers import DemoStates, SamplerConfig, SamplerWeights
 from .safety import SafetyEstimate, brute_force_safety, estimate_safety
 from .replay import ReplayBuffer, Transition, prefill_demo
 from .learner import (

@@ -181,7 +181,7 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
     """Run one seeded training job to ``t_max`` environment steps.
 
     Start states come from the configured method; time advances by realized
-    episode lengths. Writes metrics.csv, checkpoint.bin, sampler_weights.csv
+    episode lengths. Writes metrics.csv, checkpoint.npz, sampler_weights.csv
     and the effective config into ``out_dir`` when given.
     """
     env = cfg.env.build(cfg.horizon)
@@ -279,7 +279,7 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out_dir / "metrics.csv", rows)
-        save_checkpoint(out_dir / "checkpoint.bin", learner.named_networks())
+        save_checkpoint(out_dir / "checkpoint.npz", learner.named_networks())
         if sampler is not None:
             sampler.snapshot_csv(out_dir / "sampler_weights.csv")
         if buffer.frozen_prefix_len > 0:

@@ -1,98 +1,36 @@
-"""Flat binary parameter checkpoints.
+"""Network parameter checkpoints as ``.npz`` archives.
 
-Layout (all integers little-endian):
-
-    magic     8 bytes  b"LBCKPT01"
-    version   uint32   (currently 1)
-    n_nets    uint32
-    per network:
-        name_len uint16, name utf-8 bytes
-        n_arrays uint32
-        per array: ndim uint8, then ndim uint32 dims
-    payload: every array in declaration order, row-major float64, little-endian
+Array ``i`` of network ``name`` is stored under the key ``name/i`` in its own
+dtype. Networks load in the order they were saved.
 """
 
 from __future__ import annotations
 
-import struct
+import zipfile
 
 import numpy as np
 
-__all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
-
-MAGIC = b"LBCKPT01"
-VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Corrupt or incompatible checkpoint file."""
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 
 def save_checkpoint(path, networks: dict[str, list[np.ndarray]]) -> None:
-    header = bytearray()
-    header += MAGIC
-    header += struct.pack("<II", VERSION, len(networks))
-    payload = bytearray()
-    for name, params in networks.items():
-        raw = name.encode("utf-8")
-        header += struct.pack("<H", len(raw)) + raw
-        header += struct.pack("<I", len(params))
-        for p in params:
-            arr = np.ascontiguousarray(p, dtype=np.float64)
-            header += struct.pack("<B", arr.ndim)
-            header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-            payload += arr.astype("<f8").tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(bytes(header))
-        fh.write(bytes(payload))
+    arrays = {f"{name}/{i}": p for name, params in networks.items() for i, p in enumerate(params)}
+    with open(path, "wb") as fh:  # a file object keeps np.savez from appending ".npz"
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> dict[str, list[np.ndarray]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MAGIC:
-        raise CheckpointError("bad magic; not a checkpoint file")
-    off = 8
-
-    def take(fmt: str):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise CheckpointError("truncated checkpoint header")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
-
-    (version, n_nets) = take("<II")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    shapes: list[tuple[str, list[tuple[int, ...]]]] = []
-    for _ in range(n_nets):
-        (name_len,) = take("<H")
-        if off + name_len > len(blob):
-            raise CheckpointError("truncated checkpoint header")
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (n_arrays,) = take("<I")
-        arr_shapes = []
-        for _ in range(n_arrays):
-            (ndim,) = take("<B")
-            dims = take(f"<{ndim}I")
-            arr_shapes.append(tuple(int(d) for d in dims))
-        shapes.append((name, arr_shapes))
-
-    networks: dict[str, list[np.ndarray]] = {}
-    for name, arr_shapes in shapes:
-        params = []
-        for shape in arr_shapes:
-            count = int(np.prod(shape)) if shape else 1
-            size = count * 8
-            if off + size > len(blob):
-                raise CheckpointError("truncated checkpoint payload")
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-            params.append(arr.astype(np.float64).copy())
-            off += size
-        networks[name] = params
-    if off != len(blob):
-        raise CheckpointError("trailing bytes after checkpoint payload")
-    return networks
+    # Checked first: for any other file np.load suggests unpickling it.
+    if not zipfile.is_zipfile(path):
+        raise ValueError(f"{path} is not an .npz checkpoint")
+    networks: dict[str, dict[int, np.ndarray]] = {}
+    with np.load(path, allow_pickle=False) as data:
+        for key in data.files:
+            name, _, i = key.rpartition("/")
+            networks.setdefault(name, {})[int(i)] = data[key]
+    for name, arrays in networks.items():
+        if sorted(arrays) != list(range(len(arrays))):
+            raise ValueError(f"{path}: network {name!r} has array indices {sorted(arrays)}, "
+                             f"expected 0..{len(arrays) - 1}")
+    # Index order, not key order: as strings "policy/10" sorts before "policy/2".
+    return {name: [arrays[i] for i in range(len(arrays))] for name, arrays in networks.items()}

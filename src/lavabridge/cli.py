@@ -3,7 +3,7 @@
 Subcommands:
     gen-demos    collect scripted-expert demonstrations into an archive CSV
     train        run one seeded training job
-    eval         score a saved checkpoint from the ID or OOD start set
+    eval         score a run's checkpoint.npz from the ID or OOD start set
     sweep        run a config across seeds in parallel and aggregate
     safety-map   dump a Monte Carlo safety field over a position grid
 """
@@ -44,7 +44,7 @@ def _learner_from_checkpoint(path: Path, cfg) -> SACLearner:
         policy = nets["policy"]
     except KeyError:
         raise SystemExit(f"{path} holds no policy network")
-    hidden = tuple(w.shape[1] for w in policy[0::2][:-1])
+    hidden = tuple(w.shape[-1] for w in policy[0::2][:-1])
     learner_cfg = cfg.learner
     if learner_cfg.hidden != hidden:
         from dataclasses import replace
@@ -52,9 +52,17 @@ def _learner_from_checkpoint(path: Path, cfg) -> SACLearner:
     learner = SACLearner(learner_cfg, init_rng=substream(0, "learner-init"),
                          noise_rng=substream(0, "learner-noise"), f_max=cfg.env.f_max)
     for name, params in learner.named_networks().items():
-        if name in nets:
-            for p, q in zip(params, nets[name]):
-                p[...] = q
+        if name not in nets:
+            continue
+        saved = nets[name]
+        if len(saved) != len(params):
+            raise SystemExit(f"{path}: network {name!r} holds {len(saved)} arrays, "
+                             f"the learner has {len(params)}")
+        for i, (p, q) in enumerate(zip(params, saved)):
+            if p.shape != q.shape:
+                raise SystemExit(f"{path}: network {name!r} array {i} has shape {q.shape}, "
+                                 f"the learner expects {p.shape}")
+            p[...] = q
     return learner
 
 

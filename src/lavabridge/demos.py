@@ -316,16 +316,20 @@ def load_archive(path, expected_geometry_hash: str | None = None, goal_reward: f
         traj.validate(goal_reward)
         trajectories.append(traj)
 
-    try:
-        seed = int(meta.get("seed", "-1"))
-    except ValueError:
-        seed = -1
-    n_claimed = meta.get("transitions")
+    ints: dict[str, int] = {}
+    for key in ("seed", "transitions"):
+        if key in meta:
+            try:
+                ints[key] = int(meta[key])
+            except ValueError:
+                raise ArchiveFormatError(f"metadata {key} = {meta[key]!r} is not an integer") from None
+    seed = ints.get("seed", -1)
+    n_claimed = ints.get("transitions")
     archive = DemoArchive(
         trajectories=tuple(trajectories), seed=seed,
         geometry_hash=meta.get("geometry", ""),
     )
-    if n_claimed is not None and int(n_claimed) != archive.n_transitions:
+    if n_claimed is not None and n_claimed != archive.n_transitions:
         raise ArchiveFormatError(
             f"metadata claims {n_claimed} transitions, file holds {archive.n_transitions}"
         )

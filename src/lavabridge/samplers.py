@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import safety
 from .env import Cause, State, Vec2
 
 __all__ = [
@@ -35,13 +36,6 @@ __all__ = [
     "UniformSampler",
     "GoalDistSampler",
     "SafetyWeightedSampler",
-    "init_weights",
-    "sample_index",
-    "update_auxss",
-    "goal_dist_weights",
-    "omega_weights",
-    "save_weights_csv",
-    "load_weights_csv",
 ]
 
 
@@ -110,129 +104,41 @@ class SamplerConfig:
             raise ValueError("n_safety_rollouts must be >= 1")
 
 
-# -- weight-vector operations ------------------------------------------------
-
-
-def init_weights(demo: DemoStates) -> SamplerWeights:
-    """All-ones start so every demo state gets visited at least once in expectation."""
-    return SamplerWeights(np.ones(len(demo), dtype=np.float64))
-
-
-def sample_index(weights: SamplerWeights, rng: np.random.Generator) -> int:
-    """Categorical draw: index j with probability W[j] / sum(W)."""
-    return int(rng.choice(len(weights.w), p=weights.probabilities()))
-
-
-def _smoothing_kernel(demo_array: np.ndarray, i: int, cfg: SamplerConfig) -> np.ndarray:
-    # Unit-peak Gaussian in scaled squared Euclidean distance over all 4 dims;
-    # lambda[i] == 1 exactly, so the updated state lands on its target weight.
-    diff = (demo_array - demo_array[i]) / np.asarray(cfg.scale, dtype=np.float64)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    return np.exp(-d2 / (2.0 * cfg.sigma**2))
-
-
-def update_auxss(
-    weights: SamplerWeights,
-    i: int,
-    ep_len: int,
-    horizon: int,
-    demo: DemoStates,
-    cfg: SamplerConfig,
-    demo_array: np.ndarray | None = None,
-    cause: Cause | None = None,
-) -> SamplerWeights:
-    """Episode-length feedback update.
-
-    Target weight ``w* = max((H - L) / H, delta)`` replaces ``W[i]`` and is
-    blended into neighbors j with kernel weight lambda_j:
-
-        W_j <- (1 - lambda_j) * W_j + lambda_j * w*
-
-    With ``cfg.cause_aware`` goal-terminated episodes cool straight to the
-    floor instead (mastered states need no more visits); off by default.
-    ``demo_array`` may pass a precomputed ``demo.as_array()``.
-    """
-    if not (0 <= ep_len <= horizon):
-        raise ValueError(f"episode length {ep_len} outside [0, {horizon}]; harness bug")
-    if not (0 <= i < len(demo)):
-        raise ValueError(f"update index {i} out of range")
-    if cfg.cause_aware and cause is Cause.GOAL:
-        target = cfg.delta
-    else:
-        target = max((horizon - ep_len) / horizon, cfg.delta)
-    if demo_array is None:
-        demo_array = demo.as_array()
-    lam = _smoothing_kernel(demo_array, i, cfg)
-    w = (1.0 - lam) * weights.w + lam * target
-    return SamplerWeights(w)
-
-
-def goal_dist_weights(
-    demo: DemoStates,
-    goal: Vec2,
-    t: int,
-    t_max: int,
-    cfg: SamplerConfig,
-    demo_array: np.ndarray | None = None,
-) -> SamplerWeights:
-    """Exponential-in-goal-distance weights with linearly annealed temperature.
-
-    tau(t) = tau0 + (tau1 - tau0) * t / T_max;  W_j ~ exp(-dist_j / tau(t)),
-    rescaled so max W_j = 1. Low early temperature concentrates on near-goal
-    states; the rising temperature flattens toward uniform.
-    """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if not (0 <= t <= t_max):
-        raise ValueError(f"t={t} outside [0, {t_max}]")
-    if demo_array is None:
-        demo_array = demo.as_array()
-    tau = cfg.tau0 + (cfg.tau1 - cfg.tau0) * (t / t_max)
-    dist = np.hypot(demo_array[:, 0] - goal.x, demo_array[:, 1] - goal.y)
-    w = np.exp(-(dist - dist.min()) / tau)  # shifted so max weight is exactly 1
-    return SamplerWeights(w)
-
-
-def omega_weights(demo: DemoStates, env, cfg: SamplerConfig, rng: np.random.Generator) -> SamplerWeights:
-    """Static safety-inverse weights: W_j ~ 1 / max(omega_j, epsilon), max-normalized.
-
-    omega_j is the Monte Carlo safety of demo state j under a uniform-random
-    policy over ``cfg.k_safety`` steps with ``cfg.n_safety_rollouts`` rollouts.
-    Computed once; the resulting distribution never changes.
-    """
-    from .safety import estimate_safety, uniform_random_policy
-
-    policy = uniform_random_policy(env.f_max)
-    omega = np.empty(len(demo), dtype=np.float64)
-    for j, s in enumerate(demo.states):
-        omega[j] = estimate_safety(
-            env, s, policy, cfg.k_safety, cfg.n_safety_rollouts, rng
-        ).value
-    w = 1.0 / np.maximum(omega, cfg.epsilon)
-    w /= w.max()
-    return SamplerWeights(w)
-
-
 # -- sampler objects ----------------------------------------------------------
 
 
 class StartStateSampler:
-    """Common interface: sample a start index/state, then observe the episode."""
+    """Common interface: sample a start index/state, then observe the episode.
+
+    The weights start at all ones, so every demo state gets visited at least
+    once in expectation.
+    """
 
     def __init__(self, demo: DemoStates):
         self.demo = demo
         self._array = demo.as_array()
-        self.weights = init_weights(demo)
+        self.weights = SamplerWeights(np.ones(len(demo), dtype=np.float64))
 
     def sample(self, rng: np.random.Generator) -> tuple[int, State]:
-        i = sample_index(self.weights, rng)
+        """Categorical draw: index j with probability W[j] / sum(W)."""
+        i = int(rng.choice(len(self.weights.w), p=self.weights.probabilities()))
         return i, self.demo.states[i]
 
     def observe(self, i: int, ep_len: int, cause: Cause, t: int) -> None:
         """Episode feedback; t is the cumulative env-step counter after the episode."""
 
     def snapshot_csv(self, path) -> None:
-        save_weights_csv(path, self.demo, self.weights)
+        """Dump (index, state, weight) rows for inspection."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "px", "py", "vx", "vy", "weight"])
+            for j, s in enumerate(self.demo.states):
+                writer.writerow([
+                    j,
+                    f"{s.position.x:.17g}", f"{s.position.y:.17g}",
+                    f"{s.velocity.x:.17g}", f"{s.velocity.y:.17g}",
+                    f"{self.weights.w[j]:.17g}",
+                ])
 
 
 class EpisodeLengthSampler(StartStateSampler):
@@ -244,10 +150,31 @@ class EpisodeLengthSampler(StartStateSampler):
         self.cfg = cfg
 
     def observe(self, i: int, ep_len: int, cause: Cause, t: int) -> None:
-        self.weights = update_auxss(
-            self.weights, i, ep_len, self.horizon, self.demo, self.cfg,
-            demo_array=self._array, cause=cause,
-        )
+        """Episode-length feedback update.
+
+        Target weight ``w* = max((H - L) / H, delta)`` replaces ``W[i]`` and is
+        blended into neighbors j with kernel weight lambda_j:
+
+            W_j <- (1 - lambda_j) * W_j + lambda_j * w*
+
+        With ``cfg.cause_aware`` goal-terminated episodes cool straight to the
+        floor instead (mastered states need no more visits); off by default.
+        """
+        cfg = self.cfg
+        if not (0 <= ep_len <= self.horizon):
+            raise ValueError(f"episode length {ep_len} outside [0, {self.horizon}]; harness bug")
+        if not (0 <= i < len(self.demo)):
+            raise ValueError(f"update index {i} out of range")
+        if cfg.cause_aware and cause is Cause.GOAL:
+            target = cfg.delta
+        else:
+            target = max((self.horizon - ep_len) / self.horizon, cfg.delta)
+        # Unit-peak Gaussian in scaled squared Euclidean distance over all 4 dims;
+        # lambda[i] == 1 exactly, so the updated state lands on its target weight.
+        diff = (self._array - self._array[i]) / np.asarray(cfg.scale, dtype=np.float64)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        lam = np.exp(-d2 / (2.0 * cfg.sigma**2))
+        self.weights = SamplerWeights((1.0 - lam) * self.weights.w + lam * target)
 
 
 class UniformSampler(StartStateSampler):
@@ -255,63 +182,46 @@ class UniformSampler(StartStateSampler):
 
 
 class GoalDistSampler(StartStateSampler):
-    """Annealed goal-distance weights, recomputed from the env-step clock."""
+    """Exponential-in-goal-distance weights with linearly annealed temperature.
+
+    tau(t) = tau0 + (tau1 - tau0) * t / T_max;  W_j ~ exp(-dist_j / tau(t)),
+    rescaled so max W_j = 1. Low early temperature concentrates on near-goal
+    states; the rising temperature flattens toward uniform. The weights are
+    recomputed from the env-step clock, clamped to [0, T_max].
+    """
 
     def __init__(self, demo: DemoStates, goal: Vec2, t_max: int, cfg: SamplerConfig):
         super().__init__(demo)
-        self.goal = goal
+        if t_max <= 0:
+            raise ValueError("t_max must be positive")
         self.t_max = int(t_max)
         self.cfg = cfg
-        self.weights = goal_dist_weights(demo, goal, 0, self.t_max, cfg, self._array)
+        dist = np.hypot(self._array[:, 0] - goal.x, self._array[:, 1] - goal.y)
+        self._dist = dist - dist.min()  # shifted so max weight is exactly 1
+        self._anneal(0)
 
     def observe(self, i: int, ep_len: int, cause: Cause, t: int) -> None:
-        t = min(max(t, 0), self.t_max)
-        self.weights = goal_dist_weights(self.demo, self.goal, t, self.t_max, self.cfg, self._array)
+        self._anneal(min(max(t, 0), self.t_max))
+
+    def _anneal(self, t: int) -> None:
+        tau = self.cfg.tau0 + (self.cfg.tau1 - self.cfg.tau0) * (t / self.t_max)
+        self.weights = SamplerWeights(np.exp(-self._dist / tau))
 
 
 class SafetyWeightedSampler(StartStateSampler):
-    """Static safety-inverse distribution, estimated once at construction."""
+    """Static safety-inverse weights: W_j ~ 1 / max(omega_j, epsilon), max-normalized.
+
+    omega_j is the Monte Carlo safety of demo state j under a uniform-random
+    policy over ``cfg.k_safety`` steps with ``cfg.n_safety_rollouts`` rollouts.
+    Computed once at construction; the distribution never changes.
+    """
 
     def __init__(self, demo: DemoStates, env, cfg: SamplerConfig, rng: np.random.Generator):
         super().__init__(demo)
-        self.cfg = cfg
-        self.weights = omega_weights(demo, env, cfg, rng)
-
-
-# -- snapshots -----------------------------------------------------------------
-
-_SNAPSHOT_HEADER = ["index", "px", "py", "vx", "vy", "weight"]
-
-
-def save_weights_csv(path, demo: DemoStates, weights: SamplerWeights) -> None:
-    """Dump (index, state, weight) rows for inspection or resume."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SNAPSHOT_HEADER)
-        for j, s in enumerate(demo.states):
-            writer.writerow([
-                j,
-                f"{s.position.x:.17g}", f"{s.position.y:.17g}",
-                f"{s.velocity.x:.17g}", f"{s.velocity.y:.17g}",
-                f"{weights.w[j]:.17g}",
-            ])
-
-
-def load_weights_csv(path) -> tuple[DemoStates, SamplerWeights]:
-    """Rebuild (demo states, weights) from a snapshot.
-
-    Trajectory ids are not stored in snapshots; they come back as -1.
-    """
-    states: list[State] = []
-    w: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SNAPSHOT_HEADER:
-            raise ValueError(f"bad sampler snapshot header: {header}")
-        for row in reader:
-            _, px, py, vx, vy, weight = row
-            states.append(State(Vec2(float(px), float(py)), Vec2(float(vx), float(vy))))
-            w.append(float(weight))
-    demo = DemoStates(states=tuple(states), trajectory_ids=tuple([-1] * len(states)))
-    return demo, SamplerWeights(np.array(w))
+        policy = safety.uniform_random_policy(env.f_max)
+        omega = np.array([
+            safety.estimate_safety(env, s, policy, cfg.k_safety, cfg.n_safety_rollouts, rng).value
+            for s in demo.states
+        ])
+        w = 1.0 / np.maximum(omega, cfg.epsilon)
+        self.weights = SamplerWeights(w / w.max())

@@ -169,7 +169,7 @@ class TestRunTraining:
         run_training(cfg, out_dir=tmp_path / "a")
         run_training(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
-        assert (tmp_path / "a/checkpoint.bin").read_bytes() == (tmp_path / "b/checkpoint.bin").read_bytes()
+        assert (tmp_path / "a/checkpoint.npz").read_bytes() == (tmp_path / "b/checkpoint.npz").read_bytes()
 
     def test_eval_cadence_does_not_perturb_training(self, archive_path):
         sparse = run_training(tiny_config("auxss", archive_path, eval_interval=100000))
@@ -185,7 +185,7 @@ class TestRunTraining:
         result = run_training(cfg, out_dir=tmp_path / method)
         assert result.env_steps >= 400
         assert (tmp_path / method / "metrics.csv").exists()
-        assert (tmp_path / method / "checkpoint.bin").exists()
+        assert (tmp_path / method / "checkpoint.npz").exists()
         if method in ("hysac", "hysac-auxss"):
             assert result.buffer.frozen_prefix_len == 400  # archive size
         if method in ("goaldist", "omega", "hysac-auxss"):

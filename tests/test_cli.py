@@ -2,12 +2,15 @@ import csv
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lavabridge.bench import _job_env, sweep
+from lavabridge.checkpoint import save_checkpoint
 from lavabridge.cli import main
 from lavabridge.config import RunConfig
 from lavabridge.demos import save_archive
+from lavabridge.learner import LearnerConfig, SACLearner
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +48,27 @@ def test_train_and_eval(workdir, capsys):
     assert (rundir / "metrics.csv").exists()
     assert (rundir / "sampler_weights.csv").exists()
     capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(rundir / "checkpoint.bin"),
+    assert main(["eval", "--checkpoint", str(rundir / "checkpoint.npz"),
                  "--dist", "ood", "--episodes", "3",
                  "--config", str(workdir / "run.cfg")]) == 0
     assert "success_rate=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (lambda policy: policy[:-1], "'policy' holds 5 arrays, the learner has 6"),
+    (lambda policy: [policy[0], np.zeros(1, np.float32)] + policy[2:],
+     r"'policy' array 1 has shape \(1,\), the learner expects \(16,\)"),
+], ids=["missing-array", "short-bias"])
+def test_eval_rejects_mismatched_policy(tamper, match, workdir, tmp_path):
+    learner = SACLearner(LearnerConfig(hidden=(16, 16)), init_rng=np.random.default_rng(0),
+                         noise_rng=np.random.default_rng(1))
+    nets = learner.named_networks()
+    nets["policy"] = tamper(nets["policy"])
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, nets)
+    with pytest.raises(SystemExit, match=match):
+        main(["eval", "--checkpoint", str(path), "--episodes", "1",
+              "--config", str(workdir / "run.cfg")])
 
 
 def test_seed_override_lands_in_config(workdir):
@@ -98,7 +118,7 @@ def test_unknown_method_fails_cleanly(workdir, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["gen-demos", "--n", "0", "--out", "d.csv"],
-    ["eval", "--checkpoint", "c.bin", "--episodes", "0"],
+    ["eval", "--checkpoint", "c.npz", "--episodes", "0"],
     ["sweep", "--seeds", "0", "--out-dir", "s"],
     ["sweep", "--jobs", "0", "--out-dir", "s"],
     ["sweep", "--jobs", "two", "--out-dir", "s"],

@@ -184,3 +184,21 @@ class TestArchiveIO:
         path.write_text(text)
         with pytest.raises(ArchiveFormatError, match="999"):
             load_archive(path)
+
+    def test_non_integer_transition_count_rejected(self, demo_archive, tmp_path):
+        path = tmp_path / "demos.csv"
+        save_archive(demo_archive, path)
+        path.write_text(path.read_text().replace("# transitions = 400", "# transitions = many"))
+        with pytest.raises(ArchiveFormatError, match="transitions = 'many'"):
+            load_archive(path)
+
+    def test_non_integer_seed_rejected(self, demo_archive, tmp_path):
+        path = tmp_path / "demos.csv"
+        save_archive(demo_archive, path)
+        text = path.read_text()
+        path.write_text(text.replace(f"# seed = {demo_archive.seed}", "# seed = abc"))
+        with pytest.raises(ArchiveFormatError, match="seed = 'abc'"):
+            load_archive(path)
+        lines = [ln for ln in text.splitlines() if not ln.startswith("# seed")]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_archive(path).seed == -1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lavabridge.env import (
     Action,
@@ -254,6 +256,38 @@ class TestDynamicsProperties:
             speed = res.next_state.velocity.norm()
             assert speed <= prev + 1e-12
             prev = speed
+
+
+class TestStepInvariants:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        px=st.floats(0.0, 10.0), py=st.floats(0.0, 10.0),
+        speed=st.floats(0.0, 2.0), angle=st.floats(0.0, 2 * math.pi),
+        forces=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                        min_size=1, max_size=40),
+    )
+    def test_speed_and_position_bounded_and_termination_absorbs(self, px, py, speed, angle,
+                                                                 forces):
+        env = LavaBridgeEnv(horizon=40)
+        start = mk_state(px, py, speed * math.cos(angle), speed * math.sin(angle))
+        assume(env.is_terminal(start) is not Cause.LAVA)
+        env.reset_to(start)
+        world = env.geometry.world
+        for k in range(env.horizon):
+            fx, fy = forces[k % len(forces)]
+            res = env.step(Action(Vec2(fx, fy)))
+            s = res.next_state
+            # The tolerance reset_to grants, so every next state is a valid reset.
+            assert s.velocity.norm() <= env.v_max * (1.0 + 1e-12)
+            assert world.xmin <= s.position.x <= world.xmax
+            assert world.ymin <= s.position.y <= world.ymax
+            if res.terminated:
+                break
+        assert env.terminated
+        snap = env.snapshot()
+        with pytest.raises(EpisodeOverError):
+            env.step(Action(Vec2(0.5, 0.5)))
+        assert env.snapshot() == snap
 
 
 class TestGeometry:

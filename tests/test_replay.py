@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lavabridge.env import Action, State, Vec2
 from lavabridge.replay import ReplayBuffer, Transition, prefill_demo
@@ -92,6 +94,21 @@ class TestFrozenPrefix:
             buf.add_arrays(s, 0.1, -0.1, 0.0, s, False)
         assert prefix_digest() == before
         assert buf.size == 512
+
+    @settings(max_examples=50, deadline=None)
+    @given(capacity=st.integers(2, 24), data=st.data())
+    def test_ring_never_touches_prefix(self, capacity, data):
+        n = data.draw(st.integers(0, capacity - 1), label="prefix")
+        adds = data.draw(st.integers(0, 3 * capacity), label="online adds")
+        buf = ReplayBuffer(capacity=capacity)
+        prefill_demo(buf, [mk_transition(100.0 + i, done=(i % 3 == 0)) for i in range(n)])
+        arrays = (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)
+        before = [a[:n].tobytes() for a in arrays]
+        for i in range(adds):
+            buf.add(mk_transition(float(i)))
+            assert [a[:n].tobytes() for a in arrays] == before
+        assert buf.frozen_prefix_len == n
+        assert buf.size == min(capacity, n + adds)
 
     def test_fully_frozen_buffer_rejects_online_adds(self):
         buf = ReplayBuffer(capacity=3)
