@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench
@@ -45,10 +46,13 @@ def _learner_from_checkpoint(path: Path, cfg) -> SACLearner:
     except KeyError:
         raise SystemExit(f"{path} holds no policy network")
     hidden = tuple(w.shape[-1] for w in policy[0::2][:-1])
-    learner_cfg = cfg.learner
-    if learner_cfg.hidden != hidden:
-        from dataclasses import replace
-        learner_cfg = replace(learner_cfg, hidden=hidden)
+    dtype = policy[0].dtype
+    if dtype.name not in ("float32", "float64"):
+        raise SystemExit(f"{path}: network 'policy' array 0 has dtype {dtype}, "
+                         "expected float32 or float64")
+    # Shape and dtype come from the checkpoint, not from --config, so the
+    # arrays load without a cast.
+    learner_cfg = replace(cfg.learner, hidden=hidden, dtype=dtype.name)
     learner = SACLearner(learner_cfg, init_rng=substream(0, "learner-init"),
                          noise_rng=substream(0, "learner-noise"), f_max=cfg.env.f_max)
     for name, params in learner.named_networks().items():
@@ -62,6 +66,9 @@ def _learner_from_checkpoint(path: Path, cfg) -> SACLearner:
             if p.shape != q.shape:
                 raise SystemExit(f"{path}: network {name!r} array {i} has shape {q.shape}, "
                                  f"the learner expects {p.shape}")
+            if p.dtype != q.dtype:
+                raise SystemExit(f"{path}: network {name!r} array {i} has dtype {q.dtype}, "
+                                 f"the policy's array 0 has {p.dtype}")
             p[...] = q
     return learner
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from lavabridge import bench
 from lavabridge.bench import _job_env, sweep
 from lavabridge.checkpoint import save_checkpoint
 from lavabridge.cli import main
@@ -67,6 +68,42 @@ def test_eval_rejects_mismatched_policy(tamper, match, workdir, tmp_path):
     path = tmp_path / "checkpoint.npz"
     save_checkpoint(path, nets)
     with pytest.raises(SystemExit, match=match):
+        main(["eval", "--checkpoint", str(path), "--episodes", "1",
+              "--config", str(workdir / "run.cfg")])
+
+
+def test_eval_loads_float64_policy_under_float32_config_bitwise(workdir, tmp_path, monkeypatch):
+    # The run's config says float32 (the default); the checkpoint is float64.
+    learner = SACLearner(LearnerConfig(hidden=(16, 16), dtype="float64"),
+                         init_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1))
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, learner.named_networks())
+    seen = []
+
+    def capture(policy, *args):
+        seen.append(policy)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(bench, "evaluate", capture)
+    assert main(["eval", "--checkpoint", str(path), "--episodes", "1",
+                 "--config", str(workdir / "run.cfg")]) == 0
+    (loaded,) = seen
+    for name, want in learner.named_networks().items():
+        for a, b in zip(want, loaded.named_networks()[name], strict=True):
+            assert b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["policy", "q2_target"])
+def test_eval_rejects_mixed_dtypes(name, workdir, tmp_path):
+    learner = SACLearner(LearnerConfig(hidden=(16, 16), dtype="float64"),
+                         init_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1))
+    nets = learner.named_networks()
+    nets[name] = [a.astype(np.float32) if i == 2 else a for i, a in enumerate(nets[name])]
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, nets)
+    with pytest.raises(SystemExit, match=f"'{name}' array 2 has dtype float32, "
+                                         "the policy's array 0 has float64"):
         main(["eval", "--checkpoint", str(path), "--episodes", "1",
               "--config", str(workdir / "run.cfg")])
 
