@@ -167,6 +167,72 @@ class StepResult:
 # unjittered component mean/point.
 _MAX_START_REJECTS = 100
 
+# Veltkamp-Dekker splitter 2**27 + 1: splits a double into two 26-bit halves.
+_SPLIT = 134217729.0
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's error-free product: hi + lo == a * b exactly (no overflow)."""
+    hi = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _fast_two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error-free sum for |a| >= |b|: hi + lo == a + b exactly."""
+    hi = a + b
+    return hi, (a - hi) + b
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot`` of finite inputs, equal to it bit for bit.
+
+    A port of CPython 3.11's two-argument ``vector_norm``: lossless scaling of
+    both inputs by a power of two, Dekker squaring, a compensated sum and one
+    differential correction of the square root. When the larger input is
+    below 2**-1024 (frexp exponent < -1023) the power-of-two scale would
+    overflow, so, like CPython, those elements divide by the larger input
+    instead and take a compensated sum without the correction step.
+    ``np.hypot`` rounds differently in the last bit on about 0.6% of inputs.
+    """
+    x = np.abs(np.asarray(x, dtype=np.float64))
+    y = np.abs(np.asarray(y, dtype=np.float64))
+    big = np.maximum(x, y)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        _, e = np.frexp(big)
+        sub = e < -1023
+        scale = np.ldexp(1.0, np.where(sub, 0, -e))
+        csum = np.ones_like(big)
+        frac1 = np.zeros_like(big)
+        frac2 = np.zeros_like(big)
+        for v in (x * scale, y * scale):
+            sq, sq_lo = _two_product(v, v)
+            csum, sum_lo = _fast_two_sum(csum, sq)
+            frac1 = frac1 + sq_lo
+            frac2 = frac2 + sum_lo
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+        sq, sq_lo = _two_product(-h, h)
+        csum, sum_lo = _fast_two_sum(csum, sq)
+        frac1 = frac1 + sq_lo
+        frac2 = frac2 + sum_lo
+        h = h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+        out = h / scale
+        if sub.any():
+            csum = np.ones_like(big)
+            frac = np.zeros_like(big)
+            for v in (x / big, y / big):
+                v = v * v
+                old = csum
+                csum = csum + v
+                frac = frac + ((old - csum) + v)
+            out = np.where(sub, big * np.sqrt(csum - 1.0 + frac), out)
+    return np.where(big == 0.0, big, out)
+
 
 class LavaBridgeEnv:
     """Deterministic sparse-reward point-mass simulator.
@@ -334,6 +400,51 @@ class LavaBridgeEnv:
         terminated = cause is not Cause.NONE
         self._terminated = terminated
         return StepResult(self.state, reward, terminated, cause)
+
+    def step_batch(
+        self, states: np.ndarray, forces: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step N independent rows at once; row i equals ``reset_to`` + ``step``.
+
+        ``states`` is ``(N, 4)`` ``[px, py, vx, vy]`` and ``forces`` is
+        ``(N, 2)``. Returns the next states ``(N, 4)`` and two ``(N,)`` bool
+        masks: landed in lava, and landed in the goal disc (never both, since
+        lava is tested first). Each row matches the scalar ``step`` bit for
+        bit. This is a pure function of its arguments: the env's own state,
+        step counter and termination flag are untouched, and timeouts are
+        left to the caller.
+        """
+        s = np.asarray(states, dtype=np.float64)
+        f = np.asarray(forces, dtype=np.float64)
+        fx = np.clip(f[:, 0], -self.f_max, self.f_max)
+        fy = np.clip(f[:, 1], -self.f_max, self.f_max)
+
+        dt = self.dt
+        drag = self.drag
+        vx = s[:, 2] + (fx - drag * s[:, 2]) * dt
+        vy = s[:, 3] + (fy - drag * s[:, 3]) * dt
+        speed = _hypot(vx, vy)
+        over = speed > self.v_max
+        scale = np.divide(self.v_max, speed, out=np.ones_like(speed), where=over)
+        vx = vx * scale
+        vy = vy * scale
+        px = s[:, 0] + vx * dt
+        py = s[:, 1] + vy * dt
+
+        world = self.geometry.world
+        lo, hi = px < world.xmin, px > world.xmax
+        px = np.where(lo, world.xmin, np.where(hi, world.xmax, px))
+        vx = np.where(lo | hi, 0.0, vx)
+        lo, hi = py < world.ymin, py > world.ymax
+        py = np.where(lo, world.ymin, np.where(hi, world.ymax, py))
+        vy = np.where(lo | hi, 0.0, vy)
+
+        lava = np.zeros(len(s), dtype=bool)
+        for rect in self.geometry.lava:
+            lava |= (rect.xmin <= px) & (px <= rect.xmax) & (rect.ymin <= py) & (py <= rect.ymax)
+        goal_center = self.geometry.goal_center
+        goal = ~lava & (_hypot(px - goal_center.x, py - goal_center.y) <= self.geometry.goal_radius)
+        return np.stack([px, py, vx, vy], axis=1), lava, goal
 
     def is_terminal(self, state: State) -> Cause:
         """State-based termination indicator; timeout is counter-based, never here."""

@@ -8,11 +8,26 @@ hazard signal we care about is failure, not success), switchable via
 step within the window is equivalent to evaluating the terminal indicator at
 the window's final state.
 
+``estimate_safety`` rolls out all ``n`` rollouts of every state it is given as
+rows of one array, stepped by ``LavaBridgeEnv.step_batch``. A policy is a
+callable ``policy(states (B, 4), rng) -> forces (B, 2)``. Random streams: the
+rows are cut into blocks of whole states, at most ``_BLOCK_ROWS`` rows each
+(at least one state), and each block draws from its own ``rng.spawn(1)[0]``,
+spawned in block order. At every step of the window, until all of its rows
+have finished, the block calls ``policy`` once on all of its rows, finished
+ones included, so the forces at step j do not depend on ``k``. Estimates are
+therefore reproducible per seed and per list of states, and rollouts at
+horizon k+1 extend those at k.
+
+``brute_force_safety`` enumerates a force lattice exactly through the scalar
+``LavaBridgeEnv.step``; it is the oracle the estimator is tested against.
+
 All estimators leave the caller's environment state untouched.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +47,18 @@ __all__ = [
 # Cost guard for brute-force enumeration: (grid^2)^k action sequences.
 _MAX_ENUMERATION = 10_000_000
 
+# Most rollout rows stepped as one array; bounds the estimator's memory.
+_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class SafetyEstimate:
-    """Fraction of safe rollouts out of n_rollouts, each at most k steps."""
+    """Per-state fraction of safe rollouts out of n_rollouts, each at most k steps.
 
-    value: float
+    ``value`` is an ``(S,)`` float64 array, one entry per state estimated.
+    """
+
+    value: np.ndarray
     n_rollouts: int
     k: int
 
@@ -45,9 +66,8 @@ class SafetyEstimate:
 def uniform_random_policy(f_max: float):
     """Policy drawing each force component uniformly from [-f_max, f_max]."""
 
-    def policy(state: State, rng: np.random.Generator) -> Action:
-        fx, fy = rng.uniform(-f_max, f_max, size=2)
-        return Action(Vec2(fx, fy))
+    def policy(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-f_max, f_max, size=(len(states), 2))
 
     return policy
 
@@ -65,22 +85,9 @@ def action_grid(grid: int, f_max: float) -> tuple[Action, ...]:
     return tuple(Action(Vec2(float(fx), float(fy))) for fx in axis for fy in axis)
 
 
-def _rollout_is_safe(env: LavaBridgeEnv, actions, k: int, goal_unsafe: bool) -> bool:
-    # Caller has already reset the env to the probe state.
-    for step, action in zip(range(k), actions):
-        res = env.step(action)
-        if res.cause is Cause.LAVA:
-            return False
-        if res.cause is Cause.GOAL:
-            return not goal_unsafe
-        if res.terminated:  # timeout inside the window: ran out of horizon, not unsafe
-            return True
-    return True
-
-
 def estimate_safety(
     env: LavaBridgeEnv,
-    state: State,
+    states: Sequence[State],
     policy,
     k: int,
     n: int,
@@ -88,30 +95,45 @@ def estimate_safety(
     *,
     goal_unsafe: bool = False,
 ) -> SafetyEstimate:
-    """Monte Carlo state-safety estimate from ``n`` independent k-step rollouts.
+    """Monte Carlo safety of each state from ``n`` independent k-step rollouts.
 
-    Each rollout draws its actions from a child stream spawned off ``rng``, so
-    estimates are reproducible per seed and rollouts at horizon k+1 extend the
-    same action prefixes as at horizon k.
+    Every state is validated before any rollout: a terminal state raises
+    ``ValueError`` and one ``reset_to`` rejects raises ``InvalidResetError``.
+    A timeout inside the window counts as safe. See the module docstring for
+    the blocks and random streams.
     """
     if k < 1:
         raise ValueError("safety horizon k must be >= 1")
-    if env.is_terminal(state) is not Cause.NONE:
-        raise ValueError("safety is undefined for terminal states")
     if n < 1:
         raise ValueError("rollout count n must be >= 1")
     if rng is None:
         raise ValueError("Monte Carlo estimation needs an rng")
     snap = env.snapshot()
     try:
-        safe = 0
-        for child in rng.spawn(n):
+        for state in states:
+            if env.is_terminal(state) is not Cause.NONE:
+                raise ValueError("safety is undefined for terminal states")
             env.reset_to(state)
-            actions = (policy(env.state, child) for _ in range(k))
-            safe += _rollout_is_safe(env, actions, k, goal_unsafe)
-        return SafetyEstimate(value=safe / n, n_rollouts=n, k=k)
     finally:
         env.restore(snap)
+    start = np.array([s.as_array() for s in states], dtype=np.float64).reshape(-1, 4)
+    steps = min(k, env.horizon)
+    per_block = max(1, _BLOCK_ROWS // n)
+    unsafe_counts = np.zeros(len(start), dtype=np.int64)
+    for b in range(0, len(start), per_block):
+        block_rng = rng.spawn(1)[0]
+        x = np.repeat(start[b:b + per_block], n, axis=0)
+        alive = np.ones(len(x), dtype=bool)
+        unsafe = np.zeros(len(x), dtype=bool)
+        for _ in range(steps):
+            # Finished rows keep stepping; the alive mask discards their outcomes.
+            x, lava, goal = env.step_batch(x, policy(x, block_rng))
+            unsafe |= alive & (lava | (goal & goal_unsafe))
+            alive &= ~(lava | goal)
+            if not alive.any():
+                break
+        unsafe_counts[b:b + per_block] = unsafe.reshape(-1, n).sum(axis=1)
+    return SafetyEstimate(value=(n - unsafe_counts) / n, n_rollouts=n, k=k)
 
 
 def brute_force_safety(
@@ -178,26 +200,23 @@ def safety_field(
     """Sample safety of at-rest states over an nx x ny position grid.
 
     Terminal cells are reported directly: 0.0 for lava, 1.0 for the goal disc.
-    Returns (px, py, omega) rows in row-major order.
+    The open cells are estimated in one ``estimate_safety`` call, in row-major
+    order. Returns (px, py, omega) rows in row-major order.
     """
+    if nx < 1 or ny < 1:
+        raise ValueError(f"grid must be at least 1 x 1, got {nx} x {ny}")
     if policy is None:
         policy = uniform_random_policy(env.f_max)
     world = env.geometry.world
-    xs = np.linspace(world.xmin, world.xmax, nx)
-    ys = np.linspace(world.ymin, world.ymax, ny)
-    rows = []
-    for y in ys:
-        for x in xs:
-            s = State(Vec2(float(x), float(y)), Vec2(0.0, 0.0))
-            cause = env.is_terminal(s)
-            if cause is Cause.LAVA:
-                omega = 0.0
-            elif cause is Cause.GOAL:
-                omega = 1.0
-            else:
-                omega = estimate_safety(env, s, policy, k, n, rng).value
-            rows.append((float(x), float(y), omega))
-    return rows
+    cells = [State(Vec2(float(x), float(y)), Vec2(0.0, 0.0))
+             for y in np.linspace(world.ymin, world.ymax, ny)
+             for x in np.linspace(world.xmin, world.xmax, nx)]
+    causes = [env.is_terminal(s) for s in cells]
+    open_cells = [s for s, cause in zip(cells, causes) if cause is Cause.NONE]
+    estimates = iter(estimate_safety(env, open_cells, policy, k, n, rng).value.tolist())
+    fixed = {Cause.LAVA: 0.0, Cause.GOAL: 1.0}
+    return [(s.position.x, s.position.y, next(estimates) if cause is Cause.NONE else fixed[cause])
+            for s, cause in zip(cells, causes)]
 
 
 def save_safety_field_csv(path, rows) -> None:

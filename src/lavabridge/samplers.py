@@ -80,8 +80,8 @@ class SamplerConfig:
     scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     epsilon: float = 0.05        # safety-weighting floor on estimated safety
     # Safety rollout horizon (steps). With the default geometry every demo
-    # state is fully safe under the random policy for k <= 10 (one distinct
-    # weight over 150 states at n=64; 13 at k=20, 26 at k=40), so at this
+    # state is fully safe under the random policy at k=4 (one distinct
+    # weight over 150 states at n=64; 11 at k=20, 26 at k=40), so at this
     # default the omega sampler is the uniform sampler.
     k_safety: int = 4
     n_safety_rollouts: int = 64
@@ -212,16 +212,18 @@ class SafetyWeightedSampler(StartStateSampler):
     """Static safety-inverse weights: W_j ~ 1 / max(omega_j, epsilon), max-normalized.
 
     omega_j is the Monte Carlo safety of demo state j under a uniform-random
-    policy over ``cfg.k_safety`` steps with ``cfg.n_safety_rollouts`` rollouts.
-    Computed once at construction; the distribution never changes.
+    policy over ``cfg.k_safety`` steps with ``cfg.n_safety_rollouts`` rollouts,
+    from one ``safety.estimate_safety`` call over all demo states (its blocks
+    of rollout rows each draw from a child spawned off ``rng``). Computed once
+    at construction; the distribution never changes. At the default
+    ``k_safety=4`` every demo state of the default geometry is fully safe, so
+    every weight is 1.0 and omega samples exactly as the uniform sampler does.
     """
 
     def __init__(self, demo: DemoStates, env, cfg: SamplerConfig, rng: np.random.Generator):
         super().__init__(demo)
         policy = safety.uniform_random_policy(env.f_max)
-        omega = np.array([
-            safety.estimate_safety(env, s, policy, cfg.k_safety, cfg.n_safety_rollouts, rng).value
-            for s in demo.states
-        ])
+        omega = safety.estimate_safety(env, demo.states, policy, cfg.k_safety,
+                                       cfg.n_safety_rollouts, rng).value
         w = 1.0 / np.maximum(omega, cfg.epsilon)
         self.weights = SamplerWeights(w / w.max())

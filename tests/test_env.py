@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lavabridge.env import (
@@ -14,6 +14,7 @@ from lavabridge.env import (
     State,
     Vec2,
     WorldGeometry,
+    _hypot,
 )
 
 
@@ -288,6 +289,122 @@ class TestStepInvariants:
         with pytest.raises(EpisodeOverError):
             env.step(Action(Vec2(0.5, 0.5)))
         assert env.snapshot() == snap
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+subnormal = st.integers(0, 2**52 - 1).map(lambda m: m * 5e-324)
+huge = st.floats(1e307, 1.7976931348623157e308)
+
+
+class TestHypot:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.one_of(finite, subnormal, huge),
+                                    st.one_of(finite, subnormal, huge)),
+                          min_size=1, max_size=16))
+    @example(pairs=[(5e-324, 0.0), (0.0, 0.0), (-0.0, 0.0), (1.7e308, 1.7e308), (1e-310, 3e-310),
+                    (2.2250738585072014e-308, 5e-324), (-3.0, 4.0)])
+    def test_equals_math_hypot_bitwise(self, pairs):
+        x, y = np.array(pairs).T
+        expected = [math.hypot(a, b) for a, b in pairs]
+        assert bits(_hypot(x, y)).tolist() == bits(expected).tolist()
+
+    def test_random_pairs_bitwise(self):
+        # np.hypot differs from math.hypot in the last bit on ~0.6% of these.
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.uniform(-3, 3, 20_000),
+                            rng.uniform(0.5, 1, 20_000) * 2.0 ** rng.integers(-1074, 1000, 20_000)])
+        y = np.concatenate([rng.uniform(-3, 3, 20_000),
+                            rng.uniform(0.5, 1, 20_000) * 2.0 ** rng.integers(-1074, 1000, 20_000)])
+        expected = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert np.array_equal(bits(_hypot(x, y)), bits(expected))
+
+
+def scalar_step(env, row, force):
+    env.reset_to(mk_state(*row))
+    res = env.step(Action(Vec2(*force)))
+    s = res.next_state
+    return [s.position.x, s.position.y, s.velocity.x, s.velocity.y], res.cause
+
+
+def assert_rows_match_scalar_step(env, rows, forces):
+    before = env.snapshot()
+    nxt, lava, goal = env.step_batch(np.array(rows, dtype=np.float64).reshape(-1, 4),
+                                     np.array(forces, dtype=np.float64).reshape(-1, 2))
+    assert env.snapshot() == before  # pure: the env's own state is untouched
+    probe = LavaBridgeEnv(env.geometry, horizon=env.horizon)
+    for i, (row, force) in enumerate(zip(rows, forces)):
+        expected, cause = scalar_step(probe, row, force)
+        assert bits(nxt[i]).tolist() == bits(expected).tolist()
+        assert (bool(lava[i]), bool(goal[i])) == (cause is Cause.LAVA, cause is Cause.GOAL)
+
+
+@st.composite
+def reset_rows(draw):
+    """A valid reset state: anywhere, hugging a wall, at a lava edge or near the goal."""
+    region = draw(st.sampled_from(["world", "wall", "lava-edge", "goal"]))
+    if region == "world":
+        px, py = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
+    elif region == "wall":
+        px = draw(st.one_of(st.floats(0.0, 0.2), st.floats(9.8, 10.0)))
+        py = draw(st.one_of(st.floats(0.0, 0.2), st.floats(9.8, 10.0), st.floats(0.0, 10.0)))
+    elif region == "lava-edge":
+        px = draw(st.floats(3.7, 6.3))
+        py = draw(st.one_of(st.floats(4.5, 4.8), st.floats(5.2, 5.5), st.floats(0.0, 10.0)))
+    else:
+        px, py = draw(st.floats(8.3, 9.7)), draw(st.floats(4.3, 5.7))
+    speed = draw(st.one_of(st.floats(0.0, 2.0), st.just(2.0)))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    row = (px, py, speed * math.cos(angle), speed * math.sin(angle))
+    assume(not WorldGeometry().in_lava(px, py))
+    return row
+
+
+class TestStepBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.lists(st.tuples(reset_rows(), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
+                         min_size=1, max_size=24))
+    def test_rows_equal_reset_and_step_bitwise(self, data):
+        rows, forces = zip(*data)
+        assert_rows_match_scalar_step(LavaBridgeEnv(), rows, forces)
+
+    def test_random_batch_covers_every_branch(self, env):
+        # 8,000 random valid resets: wall clamps, forces beyond f_max, the speed
+        # clip, lava landings and goal landings all occur, and every row matches.
+        # Half start at v_max, so thousands of rows take the speed clip, where
+        # np.hypot's last-bit differences would show in the scaled velocity.
+        rng = np.random.default_rng(1)
+        n = 12000
+        angle = rng.uniform(0, 2 * np.pi, n)
+        speed = np.where(np.arange(n) % 2 == 0, env.v_max, rng.uniform(0, env.v_max, n))
+        rows = np.stack([rng.uniform(0, 10, n), rng.uniform(0, 10, n),
+                         speed * np.cos(angle), speed * np.sin(angle)], axis=1)
+        rows = rows[[not env.geometry.in_lava(px, py) for px, py in rows[:, :2]]][:8000]
+        near_goal = np.array([[8.5, 5.0, 2.0, 0.0], [9.0, 5.3, 0.0, 0.5]])
+        rows = np.concatenate([rows, near_goal])
+        forces = rng.uniform(-2.5, 2.5, (len(rows), 2))
+        nxt, lava, goal = env.step_batch(rows, forces)
+        v = rows[:, 2:] + (np.clip(forces, -1, 1) - env.drag * rows[:, 2:]) * env.dt
+        assert (np.abs(forces) > env.f_max).any()
+        assert (np.hypot(v[:, 0], v[:, 1]) > env.v_max).any()
+        assert ((nxt[:, :2] == 0.0) | (nxt[:, :2] == 10.0)).any()
+        assert lava.any() and goal.any() and not (lava & goal).any()
+        assert_rows_match_scalar_step(env, rows.tolist(), forces.tolist())
+
+    def test_lava_wins_where_goal_disc_overlaps_lava(self):
+        # The goal disc at (6.2, 4.4) reaches into the lower lava strip
+        # (x <= 6, y <= 4.5); rows gliding left into the overlap land in lava only.
+        geo = WorldGeometry(goal_center=Vec2(6.2, 4.4))
+        env = LavaBridgeEnv(geo)
+        px, py = np.meshgrid(np.linspace(6.05, 6.7, 14), np.linspace(4.0, 4.9, 19))
+        rows = np.stack([px.ravel(), py.ravel(), np.full(px.size, -2.0), np.zeros(px.size)], axis=1)
+        forces = np.tile([[-1.0, 0.0]], (len(rows), 1))
+        _, lava, goal = env.step_batch(rows, forces)
+        assert lava.any() and goal.any()
+        assert_rows_match_scalar_step(env, rows.tolist(), forces.tolist())
 
 
 class TestGeometry:

@@ -14,11 +14,15 @@ byte-identical to ``uniform``.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from lavabridge.bench import run_training
-from lavabridge.demos import save_archive
-from lavabridge.samplers import SamplerConfig
+from lavabridge.demos import save_archive, subsample_states
+from lavabridge.env import LavaBridgeEnv
+from lavabridge.rngs import substream
+from lavabridge.safety import safety_field
+from lavabridge.samplers import SafetyWeightedSampler, SamplerConfig
 
 from test_bench import tiny_config
 
@@ -82,3 +86,29 @@ def test_golden_digests(method, archive_path, tmp_path):
     result = run_training(cfg, out_dir=tmp_path)
     metrics = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert (metrics, params_digest(result.learner)) == GOLDEN[method]
+
+
+# The safety estimator's own digests. The omega weights of the golden omega
+# case (seed-7 archive, 40-state subset, k_safety=20, n_safety_rollouts=8)
+# take 3 distinct values, and 12 of the 40 move when the rollout streams
+# change, yet no run digest above moves with them. The safety_field grid
+# (8 x 8, k=20, n=8) reads only 0.0 and 1.0 at these inputs, so its digest
+# pins the grid layout, the terminal cells and the row order, not the
+# rollout streams. Both were pinned at the blocked stream layout of
+# ``estimate_safety`` (one spawned child per block of rollout rows).
+OMEGA_WEIGHTS = "99f116ccef838416127cc5f604909d40bb790f577497888c2ba2190c9ede15b9"
+SAFETY_FIELD = "703a80e191b69e04581e7c77603035decaee92c9a50f4a9d59bd0559ce26d49f"
+
+
+def test_golden_omega_weights(demo_archive, archive_path):
+    cfg = tiny_config("omega", archive_path, sampler=SamplerConfig(n_safety_rollouts=8, k_safety=20))
+    demo = subsample_states(demo_archive, cfg.demo_subset, cfg.seed)
+    sampler = SafetyWeightedSampler(demo, cfg.env.build(cfg.horizon), cfg.sampler,
+                                    substream(cfg.seed, "sampler", 1))
+    assert hashlib.sha256(sampler.weights.w.tobytes()).hexdigest() == OMEGA_WEIGHTS
+
+
+def test_golden_safety_field():
+    rows = safety_field(LavaBridgeEnv(), 20, 8, np.random.default_rng(0), nx=8, ny=8)
+    digest = hashlib.sha256(np.asarray(rows, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == SAFETY_FIELD

@@ -255,8 +255,9 @@ class TestOmegaWeights:
         demo = mk_demo([mk_state(1.0, 1.0), mk_state(2.0, 2.0)])
         fake = {demo.states[0]: 1.0, demo.states[1]: 0.5}
 
-        def fake_estimate(env, s, policy, k, n, rng, **kw):
-            return safety_mod.SafetyEstimate(value=fake[s], n_rollouts=n, k=k)
+        def fake_estimate(env, states, policy, k, n, rng, **kw):
+            return safety_mod.SafetyEstimate(value=np.array([fake[s] for s in states]),
+                                             n_rollouts=n, k=k)
 
         monkeypatch.setattr(safety_mod, "estimate_safety", fake_estimate)
         out = SafetyWeightedSampler(demo, LavaBridgeEnv(), SamplerConfig(epsilon=0.05),
