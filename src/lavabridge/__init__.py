@@ -1,7 +1,6 @@
 """Lava Bridge start-state-distribution RL lab."""
 
 from .env import (
-    Action,
     Cause,
     EpisodeOverError,
     InvalidResetError,
@@ -14,7 +13,7 @@ from .env import (
 )
 from .samplers import DemoStates, SamplerConfig, SamplerWeights
 from .safety import SafetyEstimate, brute_force_safety, estimate_safety
-from .replay import ReplayBuffer, Transition, prefill_demo
+from .replay import ReplayBuffer, prefill_demo
 from .learner import (
     DivergenceError,
     EpisodeResult,

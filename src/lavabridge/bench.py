@@ -37,7 +37,7 @@ from .config import (
     RunConfig,
 )
 from .demos import load_archive, subsample_states
-from .env import Action, Cause, LavaBridgeEnv, Vec2
+from .env import Cause, LavaBridgeEnv
 from .learner import SACLearner, jsrl_start_state, train_for_one_episode
 from .replay import ReplayBuffer, prefill_demo
 from .rngs import substream
@@ -141,9 +141,9 @@ def evaluate(
             break
         forces = learner.act_batch(np.array([snaps[i][:4] for i in active]))
         running = []
-        for i, (fx, fy) in zip(active, forces.tolist()):
+        for i, force in zip(active, forces.tolist()):
             env.restore(snaps[i])
-            res = env.step(Action(Vec2(fx, fy)))
+            res = env.step(force)
             returns[i] += discount * res.reward
             if res.terminated:
                 successes += res.cause is Cause.GOAL
@@ -181,8 +181,9 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
     """Run one seeded training job to ``t_max`` environment steps.
 
     Start states come from the configured method; time advances by realized
-    episode lengths. Writes metrics.csv, checkpoint.npz, sampler_weights.csv
-    and the effective config into ``out_dir`` when given.
+    episode lengths. When ``out_dir`` is given, writes metrics.csv,
+    checkpoint.npz, config.txt (the effective config) and, for sampler
+    methods, sampler_weights.csv into it.
     """
     env = cfg.env.build(cfg.horizon)
     eval_env = cfg.env.build(cfg.horizon)
@@ -209,14 +210,14 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
     )
     buffer = ReplayBuffer(cfg.learner.buffer_capacity)
     if cfg.method in PREFILL_METHODS:
-        transitions = archive.transitions()
-        if cfg.learner.buffer_capacity - len(transitions) < cfg.learner.batch_size:
+        n_demo = archive.n_transitions
+        if cfg.learner.buffer_capacity - n_demo < cfg.learner.batch_size:
             raise ValueError(
-                f"{len(transitions)} demo transitions leave fewer than batch_size="
+                f"{n_demo} demo transitions leave fewer than batch_size="
                 f"{cfg.learner.batch_size} online slots in buffer_capacity="
                 f"{cfg.learner.buffer_capacity}; no update could ever run"
             )
-        prefill_demo(buffer, transitions)
+        prefill_demo(buffer, *archive.transition_arrays())
 
     scratch_env = cfg.env.build(cfg.horizon)
     sampler = _build_sampler(cfg, demo_sub, scratch_env)
@@ -282,12 +283,6 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
         save_checkpoint(out_dir / "checkpoint.npz", learner.named_networks())
         if sampler is not None:
             sampler.snapshot_csv(out_dir / "sampler_weights.csv")
-        if buffer.frozen_prefix_len > 0:
-            n = buffer.frozen_prefix_len
-            np.savez(out_dir / "buffer_prefix.npz",
-                     states=buffer.states[:n], actions=buffer.actions[:n],
-                     rewards=buffer.rewards[:n], next_states=buffer.next_states[:n],
-                     dones=buffer.dones[:n])
         (out_dir / "config.txt").write_text(cfg.to_text())
     return out
 

@@ -14,6 +14,12 @@ transition taken at step t (state, action, reward, done flag), and one
 trailing row t=L carries the terminal state reached (with zero action and
 reward, done=1) so next-states round-trip exactly. Floats are written with
 17 significant digits, which is lossless for binary64.
+
+The done flags are fixed by the format: every kept trajectory ends at the
+goal, so only its last transition is done. ``DemoTrajectory`` therefore holds
+the L+1 states, L forces and L rewards of its block and no flags;
+``load_archive`` still checks the file's done column, since the file is
+outside input.
 """
 
 from __future__ import annotations
@@ -23,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Action, Cause, LavaBridgeEnv, State, Vec2, WorldGeometry
-from .replay import Transition
+from .env import Cause, LavaBridgeEnv, Vec2, WorldGeometry
 from .rngs import substream
 from .samplers import DemoStates
 
@@ -60,19 +65,19 @@ def _waypoints(geometry: WorldGeometry) -> tuple[Vec2, ...]:
 
 
 def scripted_expert(
-    state: State,
+    state,
     geometry: WorldGeometry,
     k_p: float = EXPERT_KP,
     k_d: float = EXPERT_KD,
     f_max: float = 1.0,
-) -> Action:
-    """PD force toward the active waypoint.
+) -> tuple[float, float]:
+    """PD force pair ``(fx, fy)`` toward the active waypoint, for a ``(4,)`` state.
 
     A waypoint counts as passed once the agent is within WAYPOINT_RADIUS of
     it or beyond it along x (travel is left to right), which makes the
     selection a pure function of the state.
     """
-    px, py = state.position.x, state.position.y
+    px, py, vx, vy = np.asarray(state, dtype=np.float64).tolist()
     target = None
     for wp in _waypoints(geometry):
         passed = math.hypot(px - wp.x, py - wp.y) <= WAYPOINT_RADIUS or px > wp.x
@@ -81,38 +86,35 @@ def scripted_expert(
             break
     if target is None:
         target = geometry.goal_center
-    fx = k_p * (target.x - px) - k_d * state.velocity.x
-    fy = k_p * (target.y - py) - k_d * state.velocity.y
-    fx = max(-f_max, min(f_max, fx))
-    fy = max(-f_max, min(f_max, fy))
-    return Action(Vec2(fx, fy))
+    fx = k_p * (target.x - px) - k_d * vx
+    fy = k_p * (target.y - py) - k_d * vy
+    return max(-f_max, min(f_max, fx)), max(-f_max, min(f_max, fy))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemoTrajectory:
-    """One goal-terminated expert episode."""
+    """One goal-terminated expert episode of length L.
+
+    ``states`` is ``(L+1, 4)``: the state each step was taken from, then the
+    terminal state reached. ``actions`` is ``(L, 2)`` and ``rewards`` ``(L,)``.
+    Only the last transition is done. Equal when every field is.
+    """
 
     episode_id: int
-    transitions: tuple[Transition, ...]
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.rewards)
 
-    @property
-    def terminal_state(self) -> State:
-        return self.transitions[-1].next_state
-
-    def validate(self, goal_reward: float) -> None:
-        if not self.transitions:
-            raise ArchiveFormatError(f"episode {self.episode_id} has no transitions")
-        last = self.transitions[-1]
-        if not last.done or last.reward != goal_reward:
-            raise ArchiveFormatError(f"episode {self.episode_id} does not end at the goal")
-        for tr in self.transitions[:-1]:
-            if tr.done or tr.reward != 0.0:
-                raise ArchiveFormatError(
-                    f"episode {self.episode_id} has a non-terminal reward or early done flag"
-                )
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DemoTrajectory):
+            return NotImplemented
+        return self.episode_id == other.episode_id and all(
+            np.array_equal(a, b) for a, b in ((self.states, other.states),
+                                              (self.actions, other.actions),
+                                              (self.rewards, other.rewards)))
 
 
 @dataclass(frozen=True)
@@ -127,18 +129,24 @@ class DemoArchive:
     def n_transitions(self) -> int:
         return sum(len(t) for t in self.trajectories)
 
-    def transitions(self) -> list[Transition]:
-        return [tr for traj in self.trajectories for tr in traj.transitions]
+    def transition_arrays(self) -> tuple[np.ndarray, ...]:
+        """All transitions in archive order as (states, actions, rewards, next_states, dones)."""
+        trajs = self.trajectories
+        dones = np.zeros(self.n_transitions)
+        dones[np.cumsum([len(t) for t in trajs]) - 1] = 1.0  # each trajectory's last step
+        return (np.concatenate([t.states[:-1] for t in trajs]),
+                np.concatenate([t.actions for t in trajs]),
+                np.concatenate([t.rewards for t in trajs]),
+                np.concatenate([t.states[1:] for t in trajs]),
+                dones)
 
     def demo_states(self) -> DemoStates:
         """Flattened view: the state each demo action was taken from."""
-        states: list[State] = []
-        tids: list[int] = []
-        for traj in self.trajectories:
-            for tr in traj.transitions:
-                states.append(tr.state)
-                tids.append(traj.episode_id)
-        return DemoStates(states=tuple(states), trajectory_ids=tuple(tids))
+        trajs = self.trajectories
+        return DemoStates(
+            states=np.concatenate([t.states[:-1] for t in trajs]),
+            trajectory_ids=np.concatenate([np.full(len(t), t.episode_id) for t in trajs]),
+        )
 
 
 def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArchive:
@@ -162,34 +170,30 @@ def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArc
             raise RuntimeError(
                 f"expert failed {failures}/{episodes} episodes; controller gains are unsafe"
             )
-        s0 = env.sample_start("p0", rng)
-        env.reset_to(s0)
-        transitions: list[Transition] = []
-        cause = Cause.NONE
+        states = [env.reset_to(env.sample_start("p0", rng))]
+        actions: list[tuple[float, float]] = []
+        rewards: list[float] = []
         while True:
-            state = env.state
-            action = scripted_expert(state, env.geometry, f_max=env.f_max)
+            action = scripted_expert(states[-1], env.geometry, f_max=env.f_max)
             res = env.step(action)
-            transitions.append(
-                Transition(state, action, res.reward,
-                           res.next_state, res.cause in (Cause.GOAL, Cause.LAVA))
-            )
+            states.append(env.state)
+            actions.append(action)
+            rewards.append(res.reward)
             if res.terminated:
-                cause = res.cause
                 break
-        if cause is not Cause.GOAL:
+        if res.cause is not Cause.GOAL:
             failures += 1
             continue
-        trajectories.append(DemoTrajectory(episode_id=len(trajectories), transitions=tuple(transitions)))
-        collected += len(transitions)
+        trajectories.append(DemoTrajectory(len(trajectories), np.array(states),
+                                           np.array(actions), np.array(rewards)))
+        collected += len(rewards)
     excess = collected - n_transitions
     if excess:
         last = trajectories[-1]
         if excess >= len(last):
             raise RuntimeError("trim bookkeeping error")  # cannot happen: previous total < n
-        trajectories[-1] = DemoTrajectory(
-            episode_id=last.episode_id, transitions=last.transitions[excess:]
-        )
+        trajectories[-1] = DemoTrajectory(last.episode_id, last.states[excess:],
+                                          last.actions[excess:], last.rewards[excess:])
     return DemoArchive(
         trajectories=tuple(trajectories), seed=seed, geometry_hash=env.geometry_hash()
     )
@@ -206,10 +210,7 @@ def subsample_states(archive: DemoArchive, m: int, seed: int) -> DemoStates:
         raise ValueError(f"subset size {m} outside [1, {len(demo)}]")
     rng = substream(seed, "demo", 1)
     idx = np.sort(rng.choice(len(demo), size=m, replace=False))
-    return DemoStates(
-        states=tuple(demo.states[i] for i in idx),
-        trajectory_ids=tuple(demo.trajectory_ids[i] for i in idx),
-    )
+    return DemoStates(states=demo.states[idx], trajectory_ids=demo.trajectory_ids[idx])
 
 
 # -- archive file IO -----------------------------------------------------------
@@ -229,21 +230,13 @@ def save_archive(archive: DemoArchive, path) -> None:
         _HEADER,
     ]
     for traj in archive.trajectories:
-        for t, tr in enumerate(traj.transitions):
-            lines.append(",".join([
-                str(traj.episode_id), str(t),
-                _fmt(tr.state.position.x), _fmt(tr.state.position.y),
-                _fmt(tr.state.velocity.x), _fmt(tr.state.velocity.y),
-                _fmt(tr.action.force.x), _fmt(tr.action.force.y),
-                _fmt(tr.reward), "1" if tr.done else "0",
-            ]))
-        term = traj.terminal_state
-        lines.append(",".join([
-            str(traj.episode_id), str(len(traj.transitions)),
-            _fmt(term.position.x), _fmt(term.position.y),
-            _fmt(term.velocity.x), _fmt(term.velocity.y),
-            _fmt(0.0), _fmt(0.0), _fmt(0.0), "1",
-        ]))
+        # The trailing terminal-state row carries zero force and reward; it
+        # and the last transition are the rows flagged done.
+        forces = traj.actions.tolist() + [[0.0, 0.0]]
+        rewards = traj.rewards.tolist() + [0.0]
+        for t, (state, force, r) in enumerate(zip(traj.states.tolist(), forces, rewards)):
+            lines.append(",".join([str(traj.episode_id), str(t), *map(_fmt, state + force + [r]),
+                                   "1" if t >= len(traj) - 1 else "0"]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -301,20 +294,17 @@ def load_archive(path, expected_geometry_hash: str | None = None, goal_reward: f
             raise ArchiveFormatError(f"episode {episode}: truncated (no terminal-state row)")
         if erows[-1][2] != 1:
             raise ArchiveFormatError(f"episode {episode}: missing terminal-state row")
-        transitions = []
-        for (t, vals, done), (_, nvals, _) in zip(erows[:-1], erows[1:]):
-            px, py, vx, vy, ax, ay, r = vals
-            npx, npy, nvx, nvy = nvals[0], nvals[1], nvals[2], nvals[3]
-            transitions.append(Transition(
-                state=State(Vec2(px, py), Vec2(vx, vy)),
-                action=Action(Vec2(ax, ay)),
-                reward=r,
-                next_state=State(Vec2(npx, npy), Vec2(nvx, nvy)),
-                done=bool(done),
-            ))
-        traj = DemoTrajectory(episode_id=episode, transitions=tuple(transitions))
-        traj.validate(goal_reward)
-        trajectories.append(traj)
+        vals = np.array([v for _, v, _ in erows])
+        dones = [d for _, _, d in erows[:-1]]
+        rewards = vals[:-1, 6]
+        if dones[-1] != 1 or rewards[-1] != goal_reward:
+            raise ArchiveFormatError(f"episode {episode} does not end at the goal")
+        if any(dones[:-1]) or np.any(rewards[:-1] != 0.0):
+            raise ArchiveFormatError(
+                f"episode {episode} has a non-terminal reward or early done flag")
+        trajectories.append(DemoTrajectory(episode, vals[:, :4], vals[:-1, 4:6], rewards))
+    if not trajectories:
+        raise ArchiveFormatError("archive holds no episodes")
 
     ints: dict[str, int] = {}
     for key in ("seed", "transitions"):

@@ -6,6 +6,11 @@ the only non-zero rewards are +1 for entering the goal disc and -1 for
 touching lava, both of which end the episode. The simulator supports
 resetting to any non-terminal state, which is the affordance the start-state
 samplers in this package are built on.
+
+Inside the package a state is a float64 row ``[px, py, vx, vy]``: ``(4,)``
+for one state, ``(n, 4)`` for many. A force is an ``(fx, fy)`` pair of
+floats. ``Vec2`` and ``Rect`` describe the static geometry; ``State`` is kept
+only as the argument of ``is_terminal``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Action",
     "Cause",
     "InvalidResetError",
     "EpisodeOverError",
@@ -56,32 +60,18 @@ class Vec2:
     x: float
     y: float
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
-
 
 @dataclass(frozen=True, slots=True)
 class State:
-    """Point-mass state: planar position (m) and velocity (m/s)."""
+    """Point-mass state: planar position (m) and velocity (m/s).
+
+    The package itself holds states as ``(4,)`` float64 rows. This class
+    survives only because ``LavaBridgeEnv.is_terminal`` takes one, and callers
+    outside the package (the benchmark among them) pass it that way.
+    """
 
     position: Vec2
     velocity: Vec2
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.position.x, self.position.y, self.velocity.x, self.velocity.y],
-            dtype=np.float64,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class Action:
-    """Force command in newtons (unit mass assumed)."""
-
-    force: Vec2
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +147,8 @@ class WorldGeometry:
 
 @dataclass(frozen=True, slots=True)
 class StepResult:
-    next_state: State
+    """Outcome of one ``step``; the state reached is ``env.state``."""
+
     reward: float
     terminated: bool
     cause: Cause
@@ -282,8 +273,9 @@ class LavaBridgeEnv:
     # -- state access -------------------------------------------------------
 
     @property
-    def state(self) -> State:
-        return State(Vec2(self._px, self._py), Vec2(self._vx, self._vy))
+    def state(self) -> np.ndarray:
+        """The current state as a fresh ``(4,)`` float64 row ``[px, py, vx, vy]``."""
+        return np.array([self._px, self._py, self._vx, self._vy])
 
     @property
     def steps(self) -> int:
@@ -302,34 +294,44 @@ class LavaBridgeEnv:
 
     # -- resets --------------------------------------------------------------
 
-    def reset_to(self, state: State) -> State:
+    def reset_to(self, state) -> np.ndarray:
         """Place the simulator exactly at ``state`` and zero the step counter.
 
-        Rejects states that are inside lava, outside the world bounds, faster
-        than ``v_max``, or non-finite.
+        ``state`` is any 4-vector ``[px, py, vx, vy]``; its entries are stored
+        as Python floats, so ``env.state`` equals it bit for bit. Rejects
+        states that are malformed (not four numbers), non-finite, outside the
+        world bounds, inside lava, or faster than ``v_max``. Returns
+        ``env.state``.
         """
-        if not (state.position.is_finite() and state.velocity.is_finite()):
+        try:
+            row = np.asarray(state, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidResetError(f"reset state {state!r} is not a 4-vector of numbers") from None
+        if row.shape != (4,):
+            raise InvalidResetError(f"reset state has shape {row.shape}, expected (4,)")
+        px, py, vx, vy = row.tolist()
+        if not all(map(math.isfinite, (px, py, vx, vy))):
             raise InvalidResetError("reset state has non-finite components")
-        if not self.geometry.world.contains(state.position.x, state.position.y):
-            raise InvalidResetError(f"reset position {state.position} outside world bounds")
-        if self.is_terminal(state) is Cause.LAVA:
-            raise InvalidResetError(f"reset position {state.position} is inside lava")
-        if state.velocity.norm() > self.v_max * (1.0 + 1e-12):
-            raise InvalidResetError(f"reset speed {state.velocity.norm():.3f} exceeds v_max")
-        self._px, self._py = state.position.x, state.position.y
-        self._vx, self._vy = state.velocity.x, state.velocity.y
+        if not self.geometry.world.contains(px, py):
+            raise InvalidResetError(f"reset position ({px}, {py}) outside world bounds")
+        if self.geometry.in_lava(px, py):
+            raise InvalidResetError(f"reset position ({px}, {py}) is inside lava")
+        speed = math.hypot(vx, vy)
+        if speed > self.v_max * (1.0 + 1e-12):
+            raise InvalidResetError(f"reset speed {speed:.3f} exceeds v_max")
+        self._px, self._py, self._vx, self._vy = px, py, vx, vy
         self._steps = 0
         self._terminated = False
-        return state
+        return self.state
 
-    def sample_start(self, which: str, rng: np.random.Generator) -> State:
+    def sample_start(self, which: str, rng: np.random.Generator) -> np.ndarray:
         """Draw a start state from ``"p0"`` (task distribution) or ``"ood"``.
 
         p0 picks one Gaussian blob uniformly and jitters around its mean; ood
         picks one probe point uniformly and jitters by ``ood_jitter``. Draws
         landing in lava or out of bounds are rejected and retried; after
         ``_MAX_START_REJECTS`` failures the unjittered center is returned.
-        Velocity is always zero.
+        Velocity is always zero. Returns a ``(4,)`` float64 row.
         """
         geo = self.geometry
         if which == "p0":
@@ -342,18 +344,20 @@ class LavaBridgeEnv:
             dx, dy = rng.normal(0.0, std, size=2)
             x, y = float(mean.x + dx), float(mean.y + dy)
             if geo.world.contains(x, y) and not geo.in_lava(x, y):
-                return State(Vec2(x, y), Vec2(0.0, 0.0))
-        return State(Vec2(mean.x, mean.y), Vec2(0.0, 0.0))
+                return np.array([x, y, 0.0, 0.0])
+        return np.array([mean.x, mean.y, 0.0, 0.0])
 
     # -- dynamics ------------------------------------------------------------
 
-    def step(self, action: Action) -> StepResult:
-        """Advance one step. Raises EpisodeOverError after termination."""
+    def step(self, force) -> StepResult:
+        """Advance one step under the ``(fx, fy)`` force pair.
+
+        Raises EpisodeOverError after termination.
+        """
         if self._terminated:
             raise EpisodeOverError("step() called on a terminated episode; reset first")
         f_max = self.f_max
-        fx = action.force.x
-        fy = action.force.y
+        fx, fy = force
         # Actuator saturation: commands beyond the force budget are clamped.
         if fx > f_max:
             fx = f_max
@@ -399,7 +403,7 @@ class LavaBridgeEnv:
             cause = Cause.TIMEOUT
         terminated = cause is not Cause.NONE
         self._terminated = terminated
-        return StepResult(self.state, reward, terminated, cause)
+        return StepResult(reward, terminated, cause)
 
     def step_batch(
         self, states: np.ndarray, forces: np.ndarray
@@ -447,7 +451,10 @@ class LavaBridgeEnv:
         return np.stack([px, py, vx, vy], axis=1), lava, goal
 
     def is_terminal(self, state: State) -> Cause:
-        """State-based termination indicator; timeout is counter-based, never here."""
+        """State-based termination indicator; timeout is counter-based, never here.
+
+        Takes a ``State``: the one reason that class survives (see its docstring).
+        """
         x, y = state.position.x, state.position.y
         if self.geometry.in_lava(x, y):
             return Cause.LAVA

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Action, Cause, LavaBridgeEnv, State, Vec2
+from .env import Cause, LavaBridgeEnv
 from .nets import MLP, Adam, SquashedGaussianHead, ema_update
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 from .samplers import DemoStates
 
 __all__ = [
@@ -110,9 +110,14 @@ class SACLearner:
 
     # -- acting ---------------------------------------------------------------
 
-    def act(self, state, stochastic: bool, rng: np.random.Generator | None = None) -> Action:
-        """Single-state action; deterministic mode takes the squashed mean."""
-        s = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=np.float64)
+    def act(
+        self, state, stochastic: bool, rng: np.random.Generator | None = None
+    ) -> tuple[float, float]:
+        """Force pair ``(fx, fy)`` for one ``(4,)`` state.
+
+        Deterministic mode takes the squashed mean.
+        """
+        s = np.asarray(state, dtype=np.float64)
         out = self.policy.forward(s[None, :])[0][0]
         if not np.all(np.isfinite(out)):
             raise DivergenceError("policy network produced non-finite output")
@@ -122,7 +127,7 @@ class SACLearner:
             a, _, _ = self.head.sample(out, xi)
         else:
             a = self.head.mean_action(out)
-        return Action(Vec2(float(a[0, 0]), float(a[0, 1])))
+        return float(a[0, 0]), float(a[0, 1])
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         """Deterministic squashed-mean forces (N, act_dim) for states (N, state_dim).
@@ -246,7 +251,7 @@ class SACLearner:
 
 def train_for_one_episode(
     env: LavaBridgeEnv,
-    s0: State,
+    s0: np.ndarray,
     learner: SACLearner,
     buffer: ReplayBuffer,
     horizon: int,
@@ -263,12 +268,13 @@ def train_for_one_episode(
     total = 0.0
     length = 0
     cause = Cause.NONE
+    s = env.state
     for _ in range(horizon):
-        state = env.state
-        action = learner.act(state, stochastic=True)
-        res = env.step(action)
-        done = res.cause in (Cause.GOAL, Cause.LAVA)
-        buffer.add(Transition(state, action, res.reward, res.next_state, done))
+        a = learner.act(s, stochastic=True)
+        res = env.step(a)
+        s2 = env.state
+        buffer.add(s, a, res.reward, s2, res.cause in (Cause.GOAL, Cause.LAVA))
+        s = s2
         total += res.reward
         length += 1
         if buffer.online_size >= cfg.batch_size:
@@ -288,7 +294,7 @@ def jsrl_start_state(
     t_max: int,
     rng: np.random.Generator,
     env: LavaBridgeEnv | None = None,
-) -> State:
+) -> np.ndarray:
     """Receding-handover reset: late-trajectory states early in training.
 
     Picks a demo trajectory uniformly and returns the state at fraction
@@ -303,10 +309,7 @@ def jsrl_start_state(
         if env is None:
             raise ValueError("receded past the demo states; need env to draw from p0")
         return env.sample_start("p0", rng)
-    groups: dict[int, list[State]] = {}
-    for s, tid in zip(demo.states, demo.trajectory_ids):
-        groups.setdefault(tid, []).append(s)
-    tids = sorted(groups)
-    traj = groups[tids[int(rng.integers(len(tids)))]]
+    tids = np.unique(demo.trajectory_ids)
+    rows = np.flatnonzero(demo.trajectory_ids == tids[int(rng.integers(len(tids)))])
     h = 1.0 - t / t_max
-    return traj[int(h * (len(traj) - 1))]
+    return demo.states[rows[int(h * (len(rows) - 1))]]

@@ -1,26 +1,16 @@
-"""Ring replay buffer with a freezable demonstration prefix."""
+"""Ring replay buffer with a freezable demonstration prefix.
+
+A transition is stored as one row of five arrays: state ``(4,)``, force
+``(2,)``, reward, next state ``(4,)`` and ``done``. ``done`` marks true
+environment termination (goal or lava), never timeouts, so bootstrapping
+stays horizon-agnostic.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .env import Action, State
-
-__all__ = ["Transition", "ReplayBuffer", "prefill_demo"]
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One environment step. ``done`` marks true environment termination
-    (goal or lava), never timeouts, so bootstrapping stays horizon-agnostic."""
-
-    state: State
-    action: Action
-    reward: float
-    next_state: State
-    done: bool
+__all__ = ["ReplayBuffer", "prefill_demo"]
 
 
 class ReplayBuffer:
@@ -56,19 +46,13 @@ class ReplayBuffer:
         """Insertions currently stored outside the frozen prefix."""
         return self._size - self.frozen_prefix_len
 
-    def add(self, tr: Transition) -> None:
-        self.add_arrays(
-            tr.state.as_array(), tr.action.force.x, tr.action.force.y,
-            tr.reward, tr.next_state.as_array(), tr.done,
-        )
-
-    def add_arrays(self, s, ax: float, ay: float, r: float, s2, done: bool) -> None:
+    def add(self, s, a, r: float, s2, done: bool) -> None:
+        """Store one online transition: state, ``(fx, fy)`` force, reward, next state, done."""
         if self.frozen_prefix_len >= self.capacity:
             raise ValueError("buffer is fully frozen; no online slots left")
         i = self._pos
         self.states[i] = s
-        self.actions[i, 0] = ax
-        self.actions[i, 1] = ay
+        self.actions[i] = a
         self.rewards[i] = r
         self.next_states[i] = s2
         self.dones[i] = 1.0 if done else 0.0
@@ -94,19 +78,21 @@ class ReplayBuffer:
         )
 
 
-def prefill_demo(buffer: ReplayBuffer, transitions) -> None:
-    """Load demonstration transitions into the frozen prefix.
+def prefill_demo(buffer: ReplayBuffer, states, actions, rewards, next_states, dones) -> None:
+    """Copy n demonstration transitions, given as five arrays of n rows, into the frozen prefix.
 
     Must be called on a fresh buffer; the prefix is never evicted afterwards.
     """
-    transitions = list(transitions)
+    n = len(rewards)
     if buffer.size != 0 or buffer.frozen_prefix_len != 0:
         raise ValueError("prefill requires an empty buffer")
-    if len(transitions) > buffer.capacity:
-        raise ValueError(
-            f"{len(transitions)} demo transitions exceed capacity {buffer.capacity}"
-        )
-    for tr in transitions:
-        buffer.add(tr)
-    buffer.frozen_prefix_len = len(transitions)
-    buffer._pos = len(transitions) if len(transitions) < buffer.capacity else 0
+    if n > buffer.capacity:
+        raise ValueError(f"{n} demo transitions exceed capacity {buffer.capacity}")
+    buffer.states[:n] = states
+    buffer.actions[:n] = actions
+    buffer.rewards[:n] = rewards
+    buffer.next_states[:n] = next_states
+    buffer.dones[:n] = dones
+    buffer.frozen_prefix_len = n
+    buffer._size = n
+    buffer._pos = n if n < buffer.capacity else 0

@@ -8,12 +8,13 @@ hazard signal we care about is failure, not success), switchable via
 step within the window is equivalent to evaluating the terminal indicator at
 the window's final state.
 
-``estimate_safety`` rolls out all ``n`` rollouts of every state it is given as
-rows of one array, stepped by ``LavaBridgeEnv.step_batch``. A policy is a
-callable ``policy(states (B, 4), rng) -> forces (B, 2)``. Random streams: the
-rows are cut into blocks of whole states, at most ``_BLOCK_ROWS`` rows each
-(at least one state), and each block draws from its own ``rng.spawn(1)[0]``,
-spawned in block order. At every step of the window, until all of its rows
+``estimate_safety`` takes states as an ``(S, 4)`` array of ``[px, py, vx,
+vy]`` rows and rolls out all ``n`` rollouts of every state as rows of one
+array, stepped by ``LavaBridgeEnv.step_batch``. A policy is a callable
+``policy(states (B, 4), rng) -> forces (B, 2)``. Random streams: the rows are
+cut into blocks of whole states, at most ``_BLOCK_ROWS`` rows each (at least
+one state), and each block draws from its own ``rng.spawn(1)[0]``, spawned in
+block order. At every step of the window, until all of its rows
 have finished, the block calls ``policy`` once on all of its rows, finished
 ones included, so the forces at step j do not depend on ``k``. Estimates are
 therefore reproducible per seed and per list of states, and rollouts at
@@ -27,12 +28,11 @@ All estimators leave the caller's environment state untouched.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Action, Cause, LavaBridgeEnv, State, Vec2
+from .env import Cause, LavaBridgeEnv
 
 __all__ = [
     "SafetyEstimate",
@@ -51,11 +51,13 @@ _MAX_ENUMERATION = 10_000_000
 _BLOCK_ROWS = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SafetyEstimate:
     """Per-state fraction of safe rollouts out of n_rollouts, each at most k steps.
 
     ``value`` is an ``(S,)`` float64 array, one entry per state estimated.
+    Estimates compare by identity: a field-wise ``==`` over arrays has no
+    single truth value.
     """
 
     value: np.ndarray
@@ -72,22 +74,28 @@ def uniform_random_policy(f_max: float):
     return policy
 
 
-def action_grid(grid: int, f_max: float) -> tuple[Action, ...]:
-    """grid x grid uniform lattice of cell centers over the force box.
+def action_grid(grid: int, f_max: float) -> np.ndarray:
+    """grid x grid uniform lattice of cell centers over the force box, ``(grid**2, 2)``.
 
-    Cell centers (midpoint rule) rather than corner-inclusive spacing, so the
-    equal-weight enumeration over the lattice is an unbiased quadrature of
-    the uniform-continuous policy it stands in for.
+    Rows run over fx, then fy within each fx. Cell centers (midpoint rule)
+    rather than corner-inclusive spacing, so the equal-weight enumeration
+    over the lattice is an unbiased quadrature of the uniform-continuous
+    policy it stands in for.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     axis = (2.0 * np.arange(grid) + 1.0 - grid) / grid * f_max
-    return tuple(Action(Vec2(float(fx), float(fy))) for fx in axis for fy in axis)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _is_terminal(env: LavaBridgeEnv, state) -> bool:
+    px, py = float(state[0]), float(state[1])
+    return env.geometry.in_lava(px, py) or env.geometry.in_goal(px, py)
 
 
 def estimate_safety(
     env: LavaBridgeEnv,
-    states: Sequence[State],
+    states,
     policy,
     k: int,
     n: int,
@@ -95,7 +103,7 @@ def estimate_safety(
     *,
     goal_unsafe: bool = False,
 ) -> SafetyEstimate:
-    """Monte Carlo safety of each state from ``n`` independent k-step rollouts.
+    """Monte Carlo safety of each ``(4,)`` row of ``states`` from ``n`` independent k-step rollouts.
 
     Every state is validated before any rollout: a terminal state raises
     ``ValueError`` and one ``reset_to`` rejects raises ``InvalidResetError``.
@@ -111,12 +119,12 @@ def estimate_safety(
     snap = env.snapshot()
     try:
         for state in states:
-            if env.is_terminal(state) is not Cause.NONE:
+            if _is_terminal(env, state):
                 raise ValueError("safety is undefined for terminal states")
             env.reset_to(state)
     finally:
         env.restore(snap)
-    start = np.array([s.as_array() for s in states], dtype=np.float64).reshape(-1, 4)
+    start = np.asarray(states, dtype=np.float64).reshape(-1, 4)
     steps = min(k, env.horizon)
     per_block = max(1, _BLOCK_ROWS // n)
     unsafe_counts = np.zeros(len(start), dtype=np.int64)
@@ -138,13 +146,13 @@ def estimate_safety(
 
 def brute_force_safety(
     env: LavaBridgeEnv,
-    state: State,
+    state,
     k: int,
     grid: int,
     *,
     goal_unsafe: bool = False,
 ) -> float:
-    """Exact safety for the uniform action-grid policy, by depth-first search.
+    """Exact safety of one ``(4,)`` state for the uniform action-grid policy, by depth-first search.
 
     Enumerates all (grid^2)^k action sequences over the lattice, sharing
     common prefixes and pruning subtrees below terminal states, so it is an
@@ -153,9 +161,9 @@ def brute_force_safety(
     """
     if k < 1:
         raise ValueError("safety horizon k must be >= 1")
-    if env.is_terminal(state) is not Cause.NONE:
+    if _is_terminal(env, state):
         raise ValueError("safety is undefined for terminal states")
-    actions = action_grid(grid, env.f_max)
+    actions = action_grid(grid, env.f_max).tolist()
     n_actions = len(actions)
     if n_actions**k > _MAX_ENUMERATION:
         raise ValueError(f"enumeration of {n_actions**k} sequences exceeds the cost guard")
@@ -207,16 +215,15 @@ def safety_field(
         raise ValueError(f"grid must be at least 1 x 1, got {nx} x {ny}")
     if policy is None:
         policy = uniform_random_policy(env.f_max)
-    world = env.geometry.world
-    cells = [State(Vec2(float(x), float(y)), Vec2(0.0, 0.0))
-             for y in np.linspace(world.ymin, world.ymax, ny)
-             for x in np.linspace(world.xmin, world.xmax, nx)]
-    causes = [env.is_terminal(s) for s in cells]
-    open_cells = [s for s, cause in zip(cells, causes) if cause is Cause.NONE]
-    estimates = iter(estimate_safety(env, open_cells, policy, k, n, rng).value.tolist())
-    fixed = {Cause.LAVA: 0.0, Cause.GOAL: 1.0}
-    return [(s.position.x, s.position.y, next(estimates) if cause is Cause.NONE else fixed[cause])
-            for s, cause in zip(cells, causes)]
+    geo = env.geometry
+    cells = np.zeros((nx * ny, 4))
+    cells[:, 0] = np.tile(np.linspace(geo.world.xmin, geo.world.xmax, nx), ny)
+    cells[:, 1] = np.repeat(np.linspace(geo.world.ymin, geo.world.ymax, ny), nx)
+    xy = cells[:, :2].tolist()
+    fixed = [0.0 if geo.in_lava(x, y) else 1.0 if geo.in_goal(x, y) else None for x, y in xy]
+    open_cells = [i for i, f in enumerate(fixed) if f is None]
+    estimates = iter(estimate_safety(env, cells[open_cells], policy, k, n, rng).value.tolist())
+    return [(x, y, next(estimates) if f is None else f) for (x, y), f in zip(xy, fixed)]
 
 
 def save_safety_field_csv(path, rows) -> None:

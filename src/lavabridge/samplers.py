@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import safety
-from .env import Cause, State, Vec2
+from .env import Cause, Vec2
 
 __all__ = [
     "DemoStates",
@@ -39,12 +39,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemoStates:
-    """Ordered demo-state archive plus the id of the trajectory each came from."""
+    """Ordered demo states, ``(n, 4)`` float64, and the ``(n,)`` int ids of
+    the trajectories they came from."""
 
-    states: tuple[State, ...]
-    trajectory_ids: tuple[int, ...]
+    states: np.ndarray
+    trajectory_ids: np.ndarray
 
     def __post_init__(self):
         if len(self.states) == 0:
@@ -54,10 +55,6 @@ class DemoStates:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def as_array(self) -> np.ndarray:
-        """(n, 4) float64 view [px, py, vx, vy], built on demand."""
-        return np.array([s.as_array() for s in self.states], dtype=np.float64)
 
 
 @dataclass
@@ -116,11 +113,10 @@ class StartStateSampler:
 
     def __init__(self, demo: DemoStates):
         self.demo = demo
-        self._array = demo.as_array()
         self.weights = SamplerWeights(np.ones(len(demo), dtype=np.float64))
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, State]:
-        """Categorical draw: index j with probability W[j] / sum(W)."""
+    def sample(self, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+        """Categorical draw: index j with probability W[j] / sum(W), and its ``(4,)`` state."""
         i = int(rng.choice(len(self.weights.w), p=self.weights.probabilities()))
         return i, self.demo.states[i]
 
@@ -132,13 +128,8 @@ class StartStateSampler:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "px", "py", "vx", "vy", "weight"])
-            for j, s in enumerate(self.demo.states):
-                writer.writerow([
-                    j,
-                    f"{s.position.x:.17g}", f"{s.position.y:.17g}",
-                    f"{s.velocity.x:.17g}", f"{s.velocity.y:.17g}",
-                    f"{self.weights.w[j]:.17g}",
-                ])
+            for j, (s, w) in enumerate(zip(self.demo.states.tolist(), self.weights.w.tolist())):
+                writer.writerow([j, *(f"{v:.17g}" for v in s), f"{w:.17g}"])
 
 
 class EpisodeLengthSampler(StartStateSampler):
@@ -171,7 +162,8 @@ class EpisodeLengthSampler(StartStateSampler):
             target = max((self.horizon - ep_len) / self.horizon, cfg.delta)
         # Unit-peak Gaussian in scaled squared Euclidean distance over all 4 dims;
         # lambda[i] == 1 exactly, so the updated state lands on its target weight.
-        diff = (self._array - self._array[i]) / np.asarray(cfg.scale, dtype=np.float64)
+        states = self.demo.states
+        diff = (states - states[i]) / np.asarray(cfg.scale, dtype=np.float64)
         d2 = np.einsum("ij,ij->i", diff, diff)
         lam = np.exp(-d2 / (2.0 * cfg.sigma**2))
         self.weights = SamplerWeights((1.0 - lam) * self.weights.w + lam * target)
@@ -196,7 +188,7 @@ class GoalDistSampler(StartStateSampler):
             raise ValueError("t_max must be positive")
         self.t_max = int(t_max)
         self.cfg = cfg
-        dist = np.hypot(self._array[:, 0] - goal.x, self._array[:, 1] - goal.y)
+        dist = np.hypot(demo.states[:, 0] - goal.x, demo.states[:, 1] - goal.y)
         self._dist = dist - dist.min()  # shifted so max weight is exactly 1
         self._anneal(0)
 

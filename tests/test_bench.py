@@ -13,7 +13,7 @@ from lavabridge.bench import (
 )
 from lavabridge.config import RunConfig, config_from_mapping
 from lavabridge.demos import save_archive, scripted_expert
-from lavabridge.env import Cause, LavaBridgeEnv, State, Vec2
+from lavabridge.env import Cause, LavaBridgeEnv
 from lavabridge.learner import LearnerConfig, SACLearner
 from lavabridge.samplers import SamplerConfig
 
@@ -28,9 +28,7 @@ class ExpertPolicy:
         return scripted_expert(state, self.geometry)
 
     def act_batch(self, states):
-        forces = [self.act(State(Vec2(px, py), Vec2(vx, vy)), False).force
-                  for px, py, vx, vy in states.tolist()]
-        return np.array([(f.x, f.y) for f in forces])
+        return np.array([self.act(s, False) for s in states])
 
 
 class RandomPolicy:
@@ -190,6 +188,13 @@ class TestRunTraining:
             assert result.buffer.frozen_prefix_len == 400  # archive size
         if method in ("goaldist", "omega", "hysac-auxss"):
             assert (tmp_path / method / "sampler_weights.csv").exists()
+
+    def test_run_directory_holds_the_documented_files(self, archive_path, tmp_path):
+        # run_training's docstring lists these; a prefill run writes no buffer copy.
+        cfg = tiny_config("hysac", archive_path, t_max=200, eval_interval=200)
+        run_training(cfg, out_dir=tmp_path / "run")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "checkpoint.npz", "config.txt", "metrics.csv"]
 
     def test_geometry_mismatch_rejected(self, archive_path):
         from lavabridge.config import EnvSettings

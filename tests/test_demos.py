@@ -9,20 +9,20 @@ from lavabridge.demos import (
     scripted_expert,
     subsample_states,
 )
-from lavabridge.env import Cause, LavaBridgeEnv, State, Vec2
+from lavabridge.env import Cause, LavaBridgeEnv
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
-    return State(Vec2(px, py), Vec2(vx, vy))
+    return np.array([px, py, vx, vy])
 
 
 class TestScriptedExpert:
     def test_force_points_at_goal_near_final_waypoint(self):
         env = LavaBridgeEnv()
         s = mk_state(7.0, 5.0)  # past the bridge exit, at rest
-        a = scripted_expert(s, env.geometry)
-        assert a.force.x > 0
-        assert a.force.y == 0.0
+        fx, fy = scripted_expert(s, env.geometry)
+        assert fx > 0
+        assert fy == 0.0
 
     def test_hundred_episodes_all_reach_goal_without_lava(self):
         # Validates the controller gains: 100/100 goal terminations, zero lava.
@@ -46,9 +46,9 @@ class TestScriptedExpert:
             env.reset_to(env.sample_start("p0", rng))
             while True:
                 res = env.step(scripted_expert(env.state, env.geometry))
-                p = res.next_state.position
-                if 4.0 <= p.x <= 6.0:
-                    assert 4.55 < p.y < 5.45  # crosses centrally, not hugging lava
+                px, py = env.state[:2]
+                if 4.0 <= px <= 6.0:
+                    assert 4.55 < py < 5.45  # crosses centrally, not hugging lava
                 if res.terminated:
                     break
 
@@ -65,11 +65,17 @@ class TestGenerateDemos:
         assert 2 <= len(archive.trajectories) <= 6
 
     def test_every_trajectory_ends_at_goal(self, demo_archive):
+        states, actions, rewards, next_states, dones = demo_archive.transition_arrays()
+        ends = np.cumsum([len(t) for t in demo_archive.trajectories]) - 1
+        assert np.flatnonzero(dones).tolist() == ends.tolist()
+        assert np.all(rewards[ends] == 1.0)
+        assert np.all(np.delete(rewards, ends) == 0.0)
+        env = LavaBridgeEnv()
         for traj in demo_archive.trajectories:
-            last = traj.transitions[-1]
-            assert last.done and last.reward == 1.0
-            for tr in traj.transitions[:-1]:
-                assert not tr.done and tr.reward == 0.0
+            assert traj.states.shape == (len(traj) + 1, 4)
+            assert traj.actions.shape == (len(traj), 2) and traj.rewards.shape == (len(traj),)
+            assert env.geometry.in_goal(*traj.states[-1, :2])
+            assert not any(env.geometry.in_goal(px, py) for px, py in traj.states[:-1, :2])
 
     def test_all_states_pass_reset(self, demo_archive):
         env = LavaBridgeEnv()
@@ -85,8 +91,7 @@ class TestGenerateDemos:
         import lavabridge.demos as demos_mod
 
         def reckless(state, geometry, k_p=None, k_d=None, f_max=1.0):
-            from lavabridge.env import Action
-            return Action(Vec2(1.0, 0.5 if state.position.y < 5 else -0.5))
+            return 1.0, 0.5 if state[1] < 5 else -0.5
 
         monkeypatch.setattr(demos_mod, "scripted_expert", reckless)
         with pytest.raises(RuntimeError, match="unsafe"):
@@ -103,26 +108,27 @@ class TestSubsampleStates:
     def test_full_subset_is_identity_order(self, demo_archive):
         demo = demo_archive.demo_states()
         sub = subsample_states(demo_archive, demo_archive.n_transitions, seed=1)
-        assert sub.states == demo.states
-        assert sub.trajectory_ids == demo.trajectory_ids
+        assert np.array_equal(sub.states, demo.states)
+        assert np.array_equal(sub.trajectory_ids, demo.trajectory_ids)
 
     def test_150_unique_states(self, demo_archive):
         sub = subsample_states(demo_archive, 150, seed=2)
         assert len(sub) == 150
-        assert len(set(sub.states)) == 150
+        assert len(np.unique(sub.states, axis=0)) == 150
 
     def test_oversized_subset_rejected(self, demo_archive):
         with pytest.raises(ValueError):
             subsample_states(demo_archive, demo_archive.n_transitions + 1, seed=0)
 
     def test_seeds_give_different_subsets(self, demo_archive):
-        subs = [tuple(subsample_states(demo_archive, 50, seed=s).states) for s in range(10)]
+        subs = [subsample_states(demo_archive, 50, seed=s).states.tobytes() for s in range(10)]
         assert len(set(subs)) == 10
 
     def test_same_seed_is_stable(self, demo_archive):
         a = subsample_states(demo_archive, 50, seed=3)
         b = subsample_states(demo_archive, 50, seed=3)
-        assert a == b
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.trajectory_ids, b.trajectory_ids)
 
     def test_subsampling_is_roughly_uniform(self, demo_archive):
         # Frequency oracle: each flattened index should appear in ~m/n of subsets.
@@ -131,10 +137,10 @@ class TestSubsampleStates:
         draws = 200
         counts = np.zeros(n)
         demo = demo_archive.demo_states()
-        index_of = {s: i for i, s in enumerate(demo.states)}
+        index_of = {s.tobytes(): i for i, s in enumerate(demo.states)}
         for seed in range(draws):
             for s in subsample_states(demo_archive, m, seed=seed).states:
-                counts[index_of[s]] += 1
+                counts[index_of[s.tobytes()]] += 1
         p = m / n
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 5 * sigma)
@@ -146,6 +152,23 @@ class TestArchiveIO:
         save_archive(demo_archive, path)
         loaded = load_archive(path)
         assert loaded == demo_archive
+
+    def test_early_done_flag_rejected(self, demo_archive, tmp_path):
+        path = tmp_path / "demos.csv"
+        save_archive(demo_archive, path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5][:-1] + "1"  # a mid-trajectory row claims done
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArchiveFormatError, match="early done"):
+            load_archive(path)
+
+    def test_no_episodes_rejected(self, demo_archive, tmp_path):
+        path = tmp_path / "demos.csv"
+        save_archive(demo_archive, path)
+        header = [ln for ln in path.read_text().splitlines() if not ln[0].isdigit()]
+        path.write_text("\n".join(header).replace("= 400", "= 0") + "\n")
+        with pytest.raises(ArchiveFormatError, match="no episodes"):
+            load_archive(path)
 
     def test_geometry_hash_checked(self, demo_archive, tmp_path):
         path = tmp_path / "demos.csv"

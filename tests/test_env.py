@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lavabridge.env import (
-    Action,
     Cause,
     EpisodeOverError,
     InvalidResetError,
@@ -19,7 +18,12 @@ from lavabridge.env import (
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
-    return State(Vec2(px, py), Vec2(vx, vy))
+    return np.array([px, py, vx, vy])
+
+
+def terminal(env, s):
+    """``is_terminal`` on a state row, through the ``State`` it takes."""
+    return env.is_terminal(State(Vec2(s[0], s[1]), Vec2(s[2], s[3])))
 
 
 @pytest.fixture
@@ -31,8 +35,8 @@ class TestResetTo:
     def test_identity_contract(self, env):
         s = mk_state(1.0, 2.5)
         out = env.reset_to(s)
-        assert out == s
-        assert env.state == s
+        assert np.array_equal(out, s)
+        assert np.array_equal(env.state, s)
         assert env.steps == 0
 
     def test_rejects_lava(self, env):
@@ -51,6 +55,21 @@ class TestResetTo:
         with pytest.raises(InvalidResetError, match="finite"):
             env.reset_to(mk_state(float("nan"), 1.0))
 
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.ones((2, 2)), None, "abcd", [1.0, 2.0, "x", 0.0]])
+    def test_rejects_malformed(self, env, bad):
+        with pytest.raises(InvalidResetError):
+            env.reset_to(bad)
+
+    def test_state_equals_reset_row_bitwise(self, env, demo_archive):
+        # A demo-state row, a sample_start draw and a row with -0.0 entries
+        # all come back from env.state with the same bits.
+        rows = [demo_archive.demo_states().states[17], env.sample_start("ood", np.random.default_rng(0)),
+                mk_state(2.0, 3.0, -0.0, 0.1 + 0.2)]
+        for row in rows:
+            env.reset_to(row)
+            assert env.state.dtype == np.float64
+            assert env.state.tobytes() == np.asarray(row, dtype=np.float64).tobytes()
+
     def test_goal_region_reset_is_allowed(self, env):
         # Only lava and bounds are rejected; goal-adjacent starts just end fast.
         env.reset_to(mk_state(9.0, 5.0))
@@ -58,7 +77,7 @@ class TestResetTo:
 
     def test_reset_clears_termination(self, env):
         env.reset_to(mk_state(5.0, 4.6, 0.0, -2.0))
-        res = env.step(Action(Vec2(0.0, 0.0)))
+        res = env.step((0.0, 0.0))
         assert res.terminated
         env.reset_to(mk_state(1.0, 2.5))
         assert not env.terminated
@@ -72,9 +91,10 @@ class TestSampleStart:
         seen = set()
         for _ in range(40):
             s = env.sample_start("p0", rng)
-            assert (s.position.x, s.position.y) in {(1.0, 2.5), (1.0, 7.5)}
-            assert s.velocity == Vec2(0.0, 0.0)
-            seen.add(s.position.y)
+            assert s.shape == (4,) and s.dtype == np.float64
+            assert (s[0], s[1]) in {(1.0, 2.5), (1.0, 7.5)}
+            assert (s[2], s[3]) == (0.0, 0.0)
+            seen.add(s[1])
         assert seen == {2.5, 7.5}
 
     def test_ood_zero_jitter_hits_points_exactly(self):
@@ -84,7 +104,7 @@ class TestSampleStart:
         points = {(p.x, p.y) for p in geo.ood_points}
         for _ in range(60):
             s = env.sample_start("ood", rng)
-            assert (s.position.x, s.position.y) in points
+            assert (s[0], s[1]) in points
 
     def test_p0_component_frequencies_uniform(self, env):
         # Chi-square oracle on blob counts over 10000 draws.
@@ -93,7 +113,7 @@ class TestSampleStart:
         counts = [0, 0]
         for _ in range(n):
             s = env.sample_start("p0", rng)
-            counts[0 if s.position.y < 5.0 else 1] += 1
+            counts[0 if s[1] < 5.0 else 1] += 1
         expected = n / 2
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 9.0  # 3-sigma-equivalent for 1 dof
@@ -105,8 +125,8 @@ class TestSampleStart:
         for which in ("p0", "ood"):
             for _ in range(2000):
                 s = env.sample_start(which, rng)
-                assert env.is_terminal(s) is not Cause.LAVA
-                assert env.geometry.world.contains(s.position.x, s.position.y)
+                assert terminal(env, s) is not Cause.LAVA
+                assert env.geometry.world.contains(s[0], s[1])
 
     def test_unknown_distribution_rejected(self, env):
         with pytest.raises(ValueError):
@@ -117,8 +137,8 @@ class TestStep:
     def test_rest_is_fixed_point(self, env):
         s = mk_state(2.0, 2.0)
         env.reset_to(s)
-        res = env.step(Action(Vec2(0.0, 0.0)))
-        assert res.next_state == s
+        res = env.step((0.0, 0.0))
+        assert np.array_equal(env.state, s)
         assert res.reward == 0.0
         assert res.cause is Cause.NONE
         assert not res.terminated
@@ -126,7 +146,7 @@ class TestStep:
     def test_lava_entry(self, env):
         # vy' = -2 + 0.2*0.1 = -1.98, y' = 4.6 - 0.198 = 4.402 < 4.5 with x in [4,6].
         env.reset_to(mk_state(5.0, 4.6, 0.0, -2.0))
-        res = env.step(Action(Vec2(0.05, 0.0)))
+        res = env.step((0.05, 0.0))
         assert res.cause is Cause.LAVA
         assert res.reward == -1.0
         assert res.terminated
@@ -134,7 +154,7 @@ class TestStep:
     def test_goal_entry(self, env):
         # vx' = 1 - 0.01 = 0.99, x' = 8.7 + 0.099 = 8.799; distance to goal 0.201 < 0.4.
         env.reset_to(mk_state(8.7, 5.0, 1.0, 0.0))
-        res = env.step(Action(Vec2(0.0, 0.0)))
+        res = env.step((0.0, 0.0))
         assert res.cause is Cause.GOAL
         assert res.reward == 1.0
         assert res.terminated
@@ -143,31 +163,31 @@ class TestStep:
         env = LavaBridgeEnv(horizon=5)
         env.reset_to(mk_state(2.0, 2.0))
         for _ in range(4):
-            res = env.step(Action(Vec2(0.0, 0.0)))
+            res = env.step((0.0, 0.0))
             assert res.cause is Cause.NONE
-        res = env.step(Action(Vec2(0.0, 0.0)))
+        res = env.step((0.0, 0.0))
         assert res.cause is Cause.TIMEOUT
         assert res.reward == 0.0
         assert res.terminated
 
     def test_step_after_termination_raises(self, env):
         env.reset_to(mk_state(5.0, 4.6, 0.0, -2.0))
-        env.step(Action(Vec2(0.0, 0.0)))
+        env.step((0.0, 0.0))
         with pytest.raises(EpisodeOverError):
-            env.step(Action(Vec2(0.0, 0.0)))
+            env.step((0.0, 0.0))
 
     def test_wall_clamps_and_zeroes_velocity(self, env):
         env.reset_to(mk_state(0.05, 2.0, -2.0, 0.0))
-        res = env.step(Action(Vec2(-1.0, 0.0)))
-        assert res.next_state.position.x == 0.0
-        assert res.next_state.velocity.x == 0.0
+        res = env.step((-1.0, 0.0))
+        assert env.state[0] == 0.0
+        assert env.state[2] == 0.0
         assert res.cause is Cause.NONE
 
     def test_force_is_clamped_to_budget(self, env):
         env.reset_to(mk_state(2.0, 2.0))
-        big = env.step(Action(Vec2(50.0, 0.0)))
+        big = env.step((50.0, 0.0)), env.snapshot()
         env.reset_to(mk_state(2.0, 2.0))
-        unit = env.step(Action(Vec2(1.0, 0.0)))
+        unit = env.step((1.0, 0.0)), env.snapshot()
         assert big == unit
 
     def test_step_result_invariants(self, env):
@@ -175,7 +195,7 @@ class TestStep:
         env.reset_to(mk_state(3.5, 5.0))
         while True:
             fx, fy = rng.uniform(-1, 1, size=2)
-            res = env.step(Action(Vec2(fx, fy)))
+            res = env.step((fx, fy))
             assert res.terminated == (res.cause is not Cause.NONE)
             if res.reward != 0.0:
                 assert res.cause in (Cause.GOAL, Cause.LAVA)
@@ -185,22 +205,22 @@ class TestStep:
 
 class TestIsTerminal:
     def test_goal_center(self, env):
-        assert env.is_terminal(mk_state(9.0, 5.0)) is Cause.GOAL
+        assert terminal(env, mk_state(9.0, 5.0)) is Cause.GOAL
 
     def test_lava_center(self, env):
         rect = env.geometry.lava[0]
         c = rect.center()
-        assert env.is_terminal(mk_state(c.x, c.y)) is Cause.LAVA
+        assert terminal(env, mk_state(c.x, c.y)) is Cause.LAVA
 
     def test_p0_means_non_terminal(self, env):
         for mean, _std in env.geometry.start_blobs:
-            assert env.is_terminal(mk_state(mean.x, mean.y)) is Cause.NONE
+            assert terminal(env, mk_state(mean.x, mean.y)) is Cause.NONE
 
     def test_consistency_with_reset(self, env):
         # is_terminal == LAVA exactly when reset_to rejects for the lava reason.
         probes = [mk_state(5.0, 1.0), mk_state(5.0, 9.0), mk_state(5.0, 5.0), mk_state(1.0, 1.0)]
         for s in probes:
-            if env.is_terminal(s) is Cause.LAVA:
+            if terminal(env, s) is Cause.LAVA:
                 with pytest.raises(InvalidResetError, match="lava"):
                     env.reset_to(s)
             else:
@@ -217,8 +237,8 @@ class TestDynamicsProperties:
             env.reset_to(mk_state(1.0, 7.5))
             traj = []
             for fx, fy in forces:
-                res = env.step(Action(Vec2(float(fx), float(fy))))
-                traj.append((res.next_state, res.reward, res.cause))
+                res = env.step((float(fx), float(fy)))
+                traj.append((env.snapshot(), res.reward, res.cause))
                 if res.terminated:
                     break
             results.append(traj)
@@ -231,7 +251,7 @@ class TestDynamicsProperties:
             rewards = []
             while True:
                 fx, fy = rng.uniform(-1, 1, size=2)
-                res = env.step(Action(Vec2(fx, fy)))
+                res = env.step((fx, fy))
                 rewards.append(res.reward)
                 if res.terminated:
                     break
@@ -244,17 +264,17 @@ class TestDynamicsProperties:
         env.reset_to(mk_state(2.0, 5.0))
         for _ in range(300):
             fx, fy = rng.uniform(-1, 1, size=2)
-            res = env.step(Action(Vec2(fx, fy)))
-            assert res.next_state.velocity.norm() <= env.v_max + 1e-12
+            res = env.step((fx, fy))
+            assert math.hypot(*env.state[2:]) <= env.v_max + 1e-12
             if res.terminated:
                 env.reset_to(mk_state(2.0, 5.0))
 
     def test_drag_dissipates_speed(self, env):
         env.reset_to(mk_state(2.0, 8.0, -1.4, -1.0))
-        prev = env.state.velocity.norm()
+        prev = math.hypot(*env.state[2:])
         for _ in range(100):
-            res = env.step(Action(Vec2(0.0, 0.0)))
-            speed = res.next_state.velocity.norm()
+            env.step((0.0, 0.0))
+            speed = math.hypot(*env.state[2:])
             assert speed <= prev + 1e-12
             prev = speed
 
@@ -271,23 +291,23 @@ class TestStepInvariants:
                                                                  forces):
         env = LavaBridgeEnv(horizon=40)
         start = mk_state(px, py, speed * math.cos(angle), speed * math.sin(angle))
-        assume(env.is_terminal(start) is not Cause.LAVA)
+        assume(terminal(env, start) is not Cause.LAVA)
         env.reset_to(start)
         world = env.geometry.world
         for k in range(env.horizon):
             fx, fy = forces[k % len(forces)]
-            res = env.step(Action(Vec2(fx, fy)))
-            s = res.next_state
+            res = env.step((fx, fy))
+            px, py, vx, vy = env.state
             # The tolerance reset_to grants, so every next state is a valid reset.
-            assert s.velocity.norm() <= env.v_max * (1.0 + 1e-12)
-            assert world.xmin <= s.position.x <= world.xmax
-            assert world.ymin <= s.position.y <= world.ymax
+            assert math.hypot(vx, vy) <= env.v_max * (1.0 + 1e-12)
+            assert world.xmin <= px <= world.xmax
+            assert world.ymin <= py <= world.ymax
             if res.terminated:
                 break
         assert env.terminated
         snap = env.snapshot()
         with pytest.raises(EpisodeOverError):
-            env.step(Action(Vec2(0.5, 0.5)))
+            env.step((0.5, 0.5))
         assert env.snapshot() == snap
 
 
@@ -324,10 +344,9 @@ class TestHypot:
 
 
 def scalar_step(env, row, force):
-    env.reset_to(mk_state(*row))
-    res = env.step(Action(Vec2(*force)))
-    s = res.next_state
-    return [s.position.x, s.position.y, s.velocity.x, s.velocity.y], res.cause
+    env.reset_to(row)
+    res = env.step(force)
+    return env.state.tolist(), res.cause
 
 
 def assert_rows_match_scalar_step(env, rows, forces):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from lavabridge.bench import run_training
-from lavabridge.demos import save_archive, subsample_states
+from lavabridge.demos import load_archive, save_archive, subsample_states
 from lavabridge.env import LavaBridgeEnv
 from lavabridge.rngs import substream
 from lavabridge.safety import safety_field
@@ -112,3 +112,18 @@ def test_golden_safety_field():
     rows = safety_field(LavaBridgeEnv(), 20, 8, np.random.default_rng(0), nx=8, ny=8)
     digest = hashlib.sha256(np.asarray(rows, dtype=np.float64).tobytes()).hexdigest()
     assert digest == SAFETY_FIELD
+
+
+# The CSV writer's own digest: the conftest archive (400 transitions, seed 7)
+# as save_archive writes it. The run digests above see the demo states and
+# the prefilled transitions, but not the bytes of the file.
+ARCHIVE_BYTES = "f3082cd694ad21c12c38b604f6e2d7a98385bb352f1662a7fcf241cbcc76122e"
+
+
+def test_golden_archive_bytes(demo_archive, tmp_path):
+    path = tmp_path / "demos.csv"
+    save_archive(demo_archive, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ARCHIVE_BYTES
+    again = tmp_path / "again.csv"
+    save_archive(load_archive(path), again)
+    assert again.read_bytes() == path.read_bytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lavabridge.env import Action, Cause, LavaBridgeEnv, State, Vec2
+from lavabridge.env import Cause, LavaBridgeEnv
 from lavabridge.learner import (
     DivergenceError,
     LearnerConfig,
@@ -9,12 +9,12 @@ from lavabridge.learner import (
     jsrl_start_state,
     train_for_one_episode,
 )
-from lavabridge.replay import ReplayBuffer, Transition, prefill_demo
+from lavabridge.replay import ReplayBuffer, prefill_demo
 from lavabridge.samplers import DemoStates
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
-    return State(Vec2(px, py), Vec2(vx, vy))
+    return np.array([px, py, vx, vy])
 
 
 def mk_learner(seed=0, **kw):
@@ -28,7 +28,8 @@ class TestAct:
         cfg = LearnerConfig(batch_size=8, buffer_capacity=64)
         learner = SACLearner(cfg, init_rng=None, noise_rng=np.random.default_rng(0))
         a = learner.act(mk_state(3.0, 3.0), stochastic=False)
-        assert (a.force.x, a.force.y) == (0.0, 0.0)
+        assert a == (0.0, 0.0)
+        assert all(type(f) is float for f in a)
 
     def test_actions_respect_bounds(self):
         learner = mk_learner(seed=1)
@@ -38,9 +39,9 @@ class TestAct:
         for _ in range(100):
             s = mk_state(*rng.uniform(0, 10, 2), *rng.uniform(-2, 2, 2))
             for stochastic in (False, True):
-                a = learner.act(s, stochastic)
-                assert abs(a.force.x) <= learner.f_max
-                assert abs(a.force.y) <= learner.f_max
+                fx, fy = learner.act(s, stochastic)
+                assert abs(fx) <= learner.f_max
+                assert abs(fy) <= learner.f_max
 
     def test_stochastic_act_deterministic_per_seed(self):
         learner = mk_learner(seed=3)
@@ -70,17 +71,14 @@ class TestActBatch:
         forces = learner.act_batch(states)
         assert forces.shape == (n, 2)
         for s, f in zip(states, forces):
-            a = learner.act(s, stochastic=False)
-            assert (a.force.x, a.force.y) == (f[0], f[1])
+            assert learner.act(s, stochastic=False) == (f[0], f[1])
 
 
 class TestUpdateStep:
     def fill_identical(self, learner, n=16):
         buf = ReplayBuffer(capacity=64)
-        tr = Transition(mk_state(2.0, 2.0), Action(Vec2(0.1, 0.0)), 0.0,
-                        mk_state(2.2, 2.0), True)
         for _ in range(n):
-            buf.add(tr)
+            buf.add(mk_state(2.0, 2.0), (0.1, 0.0), 0.0, mk_state(2.2, 2.0), True)
         return buf
 
     def test_done_batch_collapses_target_to_zero(self):
@@ -105,8 +103,7 @@ class TestUpdateStep:
     def test_update_requires_full_batch(self):
         learner = mk_learner(seed=7)
         buf = ReplayBuffer(capacity=64)
-        buf.add(Transition(mk_state(1.0, 1.0), Action(Vec2(0.0, 0.0)), 0.0,
-                           mk_state(1.0, 1.0), False))
+        buf.add(mk_state(1.0, 1.0), (0.0, 0.0), 0.0, mk_state(1.0, 1.0), False)
         with pytest.raises(ValueError):
             learner.update_step(buf)
 
@@ -152,9 +149,8 @@ class TestTrainForOneEpisode:
         env = LavaBridgeEnv(horizon=30)
         learner = mk_learner(seed=13, batch_size=16, buffer_capacity=128)
         buf = ReplayBuffer(capacity=128)
-        demo_tr = Transition(mk_state(1.0, 1.0), Action(Vec2(0.0, 0.0)), 0.0,
-                             mk_state(1.0, 1.0), False)
-        prefill_demo(buf, [demo_tr] * 32)  # plenty of frozen rows, zero online
+        s = np.tile(mk_state(1.0, 1.0), (32, 1))
+        prefill_demo(buf, s, np.zeros((32, 2)), np.zeros(32), s, np.zeros(32))  # frozen rows only
         train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf, 10)
         assert learner.updates == 0  # only 10 online samples so far, batch is 16
         train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf, 10)
@@ -168,27 +164,39 @@ class TestJsrlStartState:
             for i in range(n):
                 states.append(mk_state(1.0 + i * 0.01, 2.0 + tid))
                 tids.append(tid)
-        return DemoStates(states=tuple(states), trajectory_ids=tuple(tids))
+        return DemoStates(states=np.array(states), trajectory_ids=np.array(tids))
 
     def test_t_zero_returns_trajectory_tail(self):
         demo = self.make_demo()
         rng = np.random.default_rng(14)
-        tails = {demo.states[100], demo.states[151]}
+        tails = {tuple(demo.states[100]), tuple(demo.states[151])}
         for _ in range(20):
-            assert jsrl_start_state(demo, 0, 1000, rng) in tails
+            assert tuple(jsrl_start_state(demo, 0, 1000, rng)) in tails
+
+    def test_interleaved_trajectory_ids(self):
+        # Rows are picked through trajectory_ids, not by position: trajectory
+        # 1 is every other row here, and its tail is row 1 at t=0.
+        states = np.array([mk_state(1.0 + 0.1 * i, 2.0) for i in range(6)])
+        demo = DemoStates(states=states, trajectory_ids=np.array([1, 0, 1, 0, 1, 0]))
+        rng = np.random.default_rng(0)
+        picks = {tuple(jsrl_start_state(demo, 0, 1000, rng)) for _ in range(20)}
+        assert picks == {tuple(states[4]), tuple(states[5])}
+        rng = np.random.default_rng(0)
+        heads = {tuple(jsrl_start_state(demo, 999, 1000, rng)) for _ in range(20)}
+        assert heads == {tuple(states[0]), tuple(states[1])}
 
     def test_midpoint_index_arithmetic(self):
         demo = self.make_demo(lengths=(101,))
         s = jsrl_start_state(demo, 500, 1000, np.random.default_rng(15))
-        assert s == demo.states[50]
+        assert np.array_equal(s, demo.states[50])
 
     def test_t_max_draws_from_p0(self):
         demo = self.make_demo()
         env = LavaBridgeEnv()
         rng = np.random.default_rng(16)
         s = jsrl_start_state(demo, 1000, 1000, rng, env=env)
-        assert s.velocity == Vec2(0.0, 0.0)
-        assert min(abs(s.position.y - 2.5), abs(s.position.y - 7.5)) < 1.5
+        assert (s[2], s[3]) == (0.0, 0.0)
+        assert min(abs(s[1] - 2.5), abs(s[1] - 7.5)) < 1.5
 
     def test_t_max_without_env_rejected(self):
         with pytest.raises(ValueError, match="p0"):
@@ -200,5 +208,5 @@ class TestJsrlStartState:
         idx = []
         for t in (0, 250, 500, 750, 999):
             s = jsrl_start_state(demo, t, 1000, rng)
-            idx.append(demo.states.index(s))
+            idx.append(int(np.flatnonzero((demo.states == s).all(axis=1))[0]))
         assert idx == sorted(idx, reverse=True)

@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lavabridge.env import Action, State, Vec2
-from lavabridge.replay import ReplayBuffer, Transition, prefill_demo
+from lavabridge.demos import generate_demos
+from lavabridge.env import LavaBridgeEnv
+from lavabridge.replay import ReplayBuffer, prefill_demo
 
 
 def mk_transition(tag: float, done=False):
-    s = State(Vec2(tag, tag), Vec2(0.0, 0.0))
-    s2 = State(Vec2(tag + 0.5, tag), Vec2(0.1, 0.0))
-    return Transition(s, Action(Vec2(0.1, -0.1)), 0.0, s2, done)
+    """(state, force, reward, next state, done) of one step, tagged by position."""
+    return (np.array([tag, tag, 0.0, 0.0]), (0.1, -0.1), 0.0,
+            np.array([tag + 0.5, tag, 0.1, 0.0]), done)
+
+
+def prefill(buf, transitions):
+    """prefill_demo with the transitions stacked into its five arrays."""
+    s, a, r, s2, done = ([t[k] for t in transitions] for k in range(5))
+    prefill_demo(buf, np.reshape(s, (-1, 4)), np.reshape(a, (-1, 2)), np.array(r, dtype=float),
+                 np.reshape(s2, (-1, 4)), np.array(done, dtype=float))
 
 
 def stored_tags(buf):
@@ -23,23 +31,23 @@ class TestRingBehavior:
     def test_fifo_eviction_exact(self):
         buf = ReplayBuffer(capacity=8)
         for i in range(13):  # 5 past capacity: tags 0..4 evicted exactly
-            buf.add(mk_transition(float(i)))
+            buf.add(*mk_transition(float(i)))
         assert buf.size == 8
         assert stored_tags(buf) == [float(i) for i in range(5, 13)]
 
     def test_size_tracks_until_capacity(self):
         buf = ReplayBuffer(capacity=4)
         for i in range(3):
-            buf.add(mk_transition(float(i)))
+            buf.add(*mk_transition(float(i)))
         assert len(buf) == 3
-        buf.add(mk_transition(3.0))
-        buf.add(mk_transition(4.0))
+        buf.add(*mk_transition(3.0))
+        buf.add(*mk_transition(4.0))
         assert len(buf) == 4
 
     def test_done_flag_roundtrip(self):
         buf = ReplayBuffer(capacity=4)
-        buf.add(mk_transition(1.0, done=True))
-        buf.add(mk_transition(2.0, done=False))
+        buf.add(*mk_transition(1.0, done=True))
+        buf.add(*mk_transition(2.0, done=False))
         assert buf.dones[0] == 1.0
         assert buf.dones[1] == 0.0
 
@@ -47,38 +55,38 @@ class TestRingBehavior:
 class TestFrozenPrefix:
     def test_prefill_sets_prefix(self):
         buf = ReplayBuffer(capacity=10)
-        prefill_demo(buf, [mk_transition(float(i), done=(i == 4)) for i in range(5)])
+        prefill(buf, [mk_transition(float(i), done=(i == 4)) for i in range(5)])
         assert buf.frozen_prefix_len == 5
         assert buf.size == 5
         assert buf.online_size == 0
 
     def test_prefill_empty_is_noop(self):
         buf = ReplayBuffer(capacity=10)
-        prefill_demo(buf, [])
+        prefill(buf, [])
         assert buf.frozen_prefix_len == 0
         assert buf.size == 0
 
     def test_prefill_overflow_rejected(self):
         buf = ReplayBuffer(capacity=3)
         with pytest.raises(ValueError, match="capacity"):
-            prefill_demo(buf, [mk_transition(float(i)) for i in range(4)])
+            prefill(buf, [mk_transition(float(i)) for i in range(4)])
 
     def test_prefill_requires_fresh_buffer(self):
         buf = ReplayBuffer(capacity=4)
-        buf.add(mk_transition(0.0))
+        buf.add(*mk_transition(0.0))
         with pytest.raises(ValueError, match="empty"):
-            prefill_demo(buf, [mk_transition(1.0)])
+            prefill(buf, [mk_transition(1.0)])
 
     def test_eviction_cycles_online_region_only(self):
         buf = ReplayBuffer(capacity=6)
-        prefill_demo(buf, [mk_transition(100.0 + i) for i in range(2)])
+        prefill(buf, [mk_transition(100.0 + i) for i in range(2)])
         for i in range(9):  # online region holds 4; the last 4 survive
-            buf.add(mk_transition(float(i)))
+            buf.add(*mk_transition(float(i)))
         assert stored_tags(buf) == [5.0, 6.0, 7.0, 8.0, 100.0, 101.0]
 
     def test_prefix_bitwise_stable_under_stress(self):
         buf = ReplayBuffer(capacity=512)
-        prefill_demo(buf, [mk_transition(1000.0 + i, done=(i % 7 == 0)) for i in range(50)])
+        prefill(buf, [mk_transition(1000.0 + i, done=(i % 7 == 0)) for i in range(50)])
 
         def prefix_digest():
             h = hashlib.sha256()
@@ -91,7 +99,7 @@ class TestFrozenPrefix:
         rng = np.random.default_rng(0)
         s = rng.uniform(0, 10, size=4)
         for i in range(1_000_000):
-            buf.add_arrays(s, 0.1, -0.1, 0.0, s, False)
+            buf.add(s, (0.1, -0.1), 0.0, s, False)
         assert prefix_digest() == before
         assert buf.size == 512
 
@@ -101,42 +109,61 @@ class TestFrozenPrefix:
         n = data.draw(st.integers(0, capacity - 1), label="prefix")
         adds = data.draw(st.integers(0, 3 * capacity), label="online adds")
         buf = ReplayBuffer(capacity=capacity)
-        prefill_demo(buf, [mk_transition(100.0 + i, done=(i % 3 == 0)) for i in range(n)])
+        prefill(buf, [mk_transition(100.0 + i, done=(i % 3 == 0)) for i in range(n)])
         arrays = (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)
         before = [a[:n].tobytes() for a in arrays]
         for i in range(adds):
-            buf.add(mk_transition(float(i)))
+            buf.add(*mk_transition(float(i)))
             assert [a[:n].tobytes() for a in arrays] == before
         assert buf.frozen_prefix_len == n
         assert buf.size == min(capacity, n + adds)
 
     def test_fully_frozen_buffer_rejects_online_adds(self):
         buf = ReplayBuffer(capacity=3)
-        prefill_demo(buf, [mk_transition(float(i)) for i in range(3)])
+        prefill(buf, [mk_transition(float(i)) for i in range(3)])
         with pytest.raises(ValueError, match="frozen"):
-            buf.add(mk_transition(9.0))
+            buf.add(*mk_transition(9.0))
+
+
+    def test_prefill_copies_archive_arrays_bitwise(self):
+        archive = generate_demos(LavaBridgeEnv(), n_transitions=150, seed=3)
+        arrays = archive.transition_arrays()
+        buf = ReplayBuffer(capacity=200)
+        prefill_demo(buf, *arrays)
+        n = archive.n_transitions
+        assert (buf.frozen_prefix_len, buf.size, buf.online_size) == (n, n, 0)
+        stored = (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)
+        for want, got in zip(arrays, stored):
+            assert want.dtype == np.float64
+            assert got[:n].tobytes() == want.tobytes()
+        assert not buf.states[n:].any()  # nothing past the prefix
+        # Only each trajectory's last transition is done, and it chains into the next state.
+        ends = np.cumsum([len(t) for t in archive.trajectories]) - 1
+        assert np.flatnonzero(buf.dones[:n]).tolist() == ends.tolist()
+        starts = np.setdiff1d(np.arange(1, n), ends + 1)
+        assert np.array_equal(buf.states[starts], buf.next_states[starts - 1])
 
 
 class TestSampling:
     def test_batch_larger_than_size_rejected(self):
         buf = ReplayBuffer(capacity=8)
-        buf.add(mk_transition(0.0))
+        buf.add(*mk_transition(0.0))
         with pytest.raises(ValueError, match="batch"):
             buf.sample(2, np.random.default_rng(0))
 
     def test_sample_shapes(self):
         buf = ReplayBuffer(capacity=8)
         for i in range(6):
-            buf.add(mk_transition(float(i)))
+            buf.add(*mk_transition(float(i)))
         s, a, r, s2, done = buf.sample(4, np.random.default_rng(1))
         assert s.shape == (4, 4) and a.shape == (4, 2)
         assert r.shape == (4,) and s2.shape == (4, 4) and done.shape == (4,)
 
     def test_sampling_covers_frozen_and_online(self):
         buf = ReplayBuffer(capacity=16)
-        prefill_demo(buf, [mk_transition(100.0)] * 4)
+        prefill(buf, [mk_transition(100.0)] * 4)
         for i in range(4):
-            buf.add(mk_transition(0.0))
+            buf.add(*mk_transition(0.0))
         rng = np.random.default_rng(2)
         seen = set()
         for _ in range(200):

@@ -4,9 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lavabridge.env import (
-    Action, Cause, InvalidResetError, LavaBridgeEnv, State, Vec2, WorldGeometry,
-)
+from lavabridge.env import InvalidResetError, LavaBridgeEnv, Vec2, WorldGeometry
 from lavabridge import safety as safety_mod
 from lavabridge.safety import (
     SafetyEstimate,
@@ -20,7 +18,7 @@ from lavabridge.safety import (
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
-    return State(Vec2(px, py), Vec2(vx, vy))
+    return np.array([px, py, vx, vy])
 
 
 @pytest.fixture
@@ -117,6 +115,19 @@ class TestEstimateSafety:
             with pytest.raises(InvalidResetError):
                 estimate_safety(env, [SAFE, bad], policy, k=2, n=8, rng=np.random.default_rng(6))
 
+    def test_malformed_row_rejected(self, env):
+        for bad in (np.zeros(3), [1.0, 1.0, 0.0, None]):
+            with pytest.raises(InvalidResetError):
+                estimate_safety(env, [SAFE, bad], uniform_random_policy(1.0), k=2, n=8,
+                                rng=np.random.default_rng(6))
+
+    def test_estimates_compare_without_raising(self, env):
+        policy = uniform_random_policy(env.f_max)
+        a = estimate_safety(env, [SAFE, MIXED], policy, k=2, n=8, rng=np.random.default_rng(6))
+        b = estimate_safety(env, [SAFE, MIXED], policy, k=2, n=8, rng=np.random.default_rng(6))
+        assert (a == b) is False and (a == a) is True  # identity, not field-wise
+        assert np.array_equal(a.value, b.value)
+
     def test_empty_state_list(self, env):
         est = estimate_safety(env, [], uniform_random_policy(1.0), k=2, n=8,
                               rng=np.random.default_rng(6))
@@ -124,7 +135,7 @@ class TestEstimateSafety:
 
     def test_caller_env_state_untouched(self, env):
         env.reset_to(mk_state(2.0, 2.0))
-        env.step(Action(Vec2(0.5, 0.5)))
+        env.step((0.5, 0.5))
         before = env.snapshot()
         estimate_safety(env, [MIXED, SAFE], uniform_random_policy(env.f_max), k=3, n=32,
                         rng=np.random.default_rng(5))
@@ -174,7 +185,7 @@ class TestBruteForce:
         # one call over 625 copies of a probe, n=1, where step j's call
         # replays the j-th force of every sequence.
         probes = [MIXED, SAFE, DOOMED, mk_state(4.4, 5.35, 0.1, 0.7), mk_state(5.6, 5.2, -0.3, 0.5)]
-        lattice = [(a.force.x, a.force.y) for a in action_grid(5, env.f_max)]
+        lattice = action_grid(5, env.f_max).tolist()
         sequences = np.array(list(itertools.product(lattice, repeat=2)))
         assert sequences.shape == (625, 2, 2)
 
@@ -189,9 +200,8 @@ class TestBruteForce:
             assert est.value.sum() / len(sequences) == expected
 
     def test_mc_with_grid_policy_converges_to_oracle(self, env):
-        actions = action_grid(5, env.f_max)
-        forces = np.array([(a.force.x, a.force.y) for a in actions])
-        policy = lambda states, rng: forces[rng.integers(len(actions), size=len(states))]
+        forces = action_grid(5, env.f_max)
+        policy = lambda states, rng: forces[rng.integers(len(forces), size=len(states))]
         exact = brute_force_safety(env, MIXED, k=2, grid=5)
         n = 4096
         est = estimate_safety(env, [MIXED], policy, k=2, n=n, rng=np.random.default_rng(9))
@@ -227,9 +237,11 @@ class TestBruteForce:
 class TestActionGrid:
     def test_cell_centers(self):
         acts = action_grid(2, 1.0)
-        assert len(acts) == 4
-        xs = sorted({a.force.x for a in acts})
+        assert acts.shape == (4, 2)
+        xs = sorted(set(acts[:, 0].tolist()))
         assert xs == [-0.5, 0.5]
+        # fx outer, fy inner: the depth-first oracle enumerates in this order.
+        assert acts.tolist() == [[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]]
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):

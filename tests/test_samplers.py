@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lavabridge.bench import run_training
 from lavabridge.demos import save_archive
-from lavabridge.env import Cause, LavaBridgeEnv, State, Vec2
+from lavabridge.env import Cause, LavaBridgeEnv, Vec2
 from lavabridge.samplers import (
     DemoStates,
     EpisodeLengthSampler,
@@ -24,13 +24,14 @@ from test_bench import tiny_config
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
-    return State(Vec2(px, py), Vec2(vx, vy))
+    return [px, py, vx, vy]
 
 
 def mk_demo(states, tids=None):
     if tids is None:
         tids = [0] * len(states)
-    return DemoStates(states=tuple(states), trajectory_ids=tuple(tids))
+    return DemoStates(states=np.array(states, dtype=np.float64).reshape(-1, 4),
+                      trajectory_ids=np.array(tids, dtype=np.int64))
 
 
 def weighted(w) -> UniformSampler:
@@ -79,6 +80,24 @@ class TestInitWeights:
     def test_empty_archive_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             mk_demo([])
+
+
+class TestDemoStates:
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            DemoStates(states=np.zeros((3, 4)), trajectory_ids=np.zeros(2, dtype=np.int64))
+
+    def test_sample_returns_the_row_and_resets_to_it_bitwise(self, demo_archive):
+        # The sampled state is the demo row itself; reset_to stores its bits.
+        demo = demo_archive.demo_states()
+        sampler = UniformSampler(demo)
+        env = LavaBridgeEnv()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            i, s = sampler.sample(rng)
+            assert s.tobytes() == demo.states[i].tobytes()
+            env.reset_to(s)
+            assert env.state.tobytes() == demo.states[i].tobytes()
 
 
 class TestSampleIndex:
@@ -253,10 +272,10 @@ class TestOmegaWeights:
         from lavabridge import safety as safety_mod
 
         demo = mk_demo([mk_state(1.0, 1.0), mk_state(2.0, 2.0)])
-        fake = {demo.states[0]: 1.0, demo.states[1]: 0.5}
+        fake = {demo.states[0].tobytes(): 1.0, demo.states[1].tobytes(): 0.5}
 
         def fake_estimate(env, states, policy, k, n, rng, **kw):
-            return safety_mod.SafetyEstimate(value=np.array([fake[s] for s in states]),
+            return safety_mod.SafetyEstimate(value=np.array([fake[s.tobytes()] for s in states]),
                                              n_rollouts=n, k=k)
 
         monkeypatch.setattr(safety_mod, "estimate_safety", fake_estimate)
