@@ -208,7 +208,7 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
         noise_rng=substream(seed, "learner-noise"),
         f_max=cfg.env.f_max,
     )
-    buffer = ReplayBuffer(cfg.learner.buffer_capacity)
+    buffer = ReplayBuffer(cfg.learner.buffer_capacity, dtype=cfg.learner.dtype)
     if cfg.method in PREFILL_METHODS:
         n_demo = archive.n_transitions
         if cfg.learner.buffer_capacity - n_demo < cfg.learner.batch_size:

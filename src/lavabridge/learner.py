@@ -151,41 +151,42 @@ class SACLearner:
 
         Critic targets are r + gamma * (1 - done) * (min twin target Q of the
         next sampled action - alpha * its log-prob); the policy descends
-        alpha * log pi - min twin Q with reparameterized samples.
+        alpha * log pi - min twin Q with reparameterized samples. One actor
+        pass over [s2; s] with one noise draw serves both: its first half
+        the targets, its second half the policy step.
         """
         cfg = self.cfg
         dt = self.dtype
         rng = rng if rng is not None else self.noise_rng
-        s, a, r, s2, done = buffer.sample(cfg.batch_size, rng)
-        s = s.astype(dt)
-        a = a.astype(dt)
-        r = r.astype(dt)
-        s2 = s2.astype(dt)
-        done = done.astype(dt)
-        batch = s.shape[0]
+        batch = cfg.batch_size
+        rows = np.asarray(buffer.sample(batch, rng), dtype=dt)
+        s, _, r, s2, done = buffer.split(rows)
+
+        out, pc = self.policy.forward(np.concatenate([s2, s]))
+        xi = rng.standard_normal((2 * batch, self.act_dim), dtype=dt)
+        a_pi, logp, head_cache = self.head.sample(out[0], xi)
 
         # Critic targets (no gradients flow here).
-        out2 = self.policy.forward(s2)[0][0]
-        xi2 = rng.standard_normal((batch, self.act_dim), dtype=dt)
-        a2, logp2, _ = self.head.sample(out2, xi2)
-        sa2 = np.concatenate([s2, a2], axis=1)
-        qt_pair, _ = self.q_target.forward(sa2)
+        sa2 = np.concatenate([s2, a_pi[:batch]], axis=1)
+        qt_pair, _ = self.q_target.forward(sa2, keep_cache=False)
         qt = np.minimum(qt_pair[0, :, 0], qt_pair[1, :, 0])
-        y = r + cfg.gamma * (1.0 - done) * (qt - cfg.alpha * logp2)
+        y = r + cfg.gamma * (1.0 - done) * (qt - cfg.alpha * logp[:batch])
 
-        # Twin critic regression, then a reparameterized policy step against
-        # the updated critics.
-        critic_loss, qg = self.critic_loss_and_grads(s, a, y)
+        # Twin critic regression on the [s | a] columns of the packed rows,
+        # then a reparameterized policy step against the updated critics.
+        critic_loss, qg = self.critic_loss_and_grads(rows[:, : self.state_dim + self.act_dim], None, y)
         self.q_opt.step(qg)
 
-        xi = rng.standard_normal((batch, self.act_dim), dtype=dt)
-        policy_loss, pg, logp = self.policy_loss_and_grads(s, xi)
+        half = slice(batch, 2 * batch)
+        actor = (MLP.cache_rows(pc, half), a_pi[half], logp[half],
+                 tuple(c[half] for c in head_cache))
+        policy_loss, pg, logp_s = self.policy_loss_and_grads(s, xi[half], actor)
         self.policy_opt.step(pg)
 
         ema_update(self.q_target, self.q, cfg.tau)
         self.updates += 1
 
-        entropy = float(-np.mean(logp))
+        entropy = float(-np.mean(logp_s))
         if not (math.isfinite(critic_loss) and math.isfinite(policy_loss)):
             raise DivergenceError(
                 f"non-finite losses at update {self.updates}: critic={critic_loss}, policy={policy_loss}"
@@ -196,30 +197,39 @@ class SACLearner:
             "entropy": entropy,
         }
 
-    def critic_loss_and_grads(self, s: np.ndarray, a: np.ndarray, y: np.ndarray):
-        """Summed twin MSE toward fixed targets; one flat gradient for the pair."""
+    def critic_loss_and_grads(self, s: np.ndarray, a: np.ndarray | None, y: np.ndarray):
+        """Summed twin MSE toward fixed targets; one flat gradient for the pair.
+
+        With ``a=None``, ``s`` already holds the state-action columns
+        [s | a], as a view of packed replay rows does.
+        """
         dt = self.dtype
         s = np.asarray(s, dtype=dt)
-        a = np.asarray(a, dtype=dt)
         y = np.asarray(y, dtype=dt)
         batch = s.shape[0]
-        sa = np.concatenate([s, a], axis=1)
+        sa = s if a is None else np.concatenate([s, np.asarray(a, dtype=dt)], axis=1)
         qq, cache = self.q.forward(sa)
         err = qq[:, :, 0] - y  # (2, batch)
         loss = float(np.mean(err[0] ** 2) + np.mean(err[1] ** 2))
-        grad, _ = self.q.backward(cache, (2.0 / batch) * err[:, :, None])
+        grad, _ = self.q.backward(cache, (2.0 / batch) * err[:, :, None], input_cols=None)
         return loss, grad
 
-    def policy_loss_and_grads(self, s: np.ndarray, xi: np.ndarray):
+    def policy_loss_and_grads(self, s: np.ndarray, xi: np.ndarray, actor=None):
         """mean(alpha * log pi - min twin Q) under fixed reparameterization
-        noise ``xi``; returns (loss, flat policy gradient, per-sample log-probs)."""
+        noise ``xi``; returns (loss, flat policy gradient, per-sample log-probs).
+
+        ``actor`` is (policy cache, action, log-prob, head cache) of an actor
+        pass already made over ``s`` with noise ``xi``; the pass is made here
+        when it is omitted.
+        """
         dt = self.dtype
         s = np.asarray(s, dtype=dt)
-        xi = np.asarray(xi, dtype=dt)
         batch = s.shape[0]
         alpha = self.cfg.alpha
-        out, pc = self.policy.forward(s)
-        a_new, logp, head_cache = self.head.sample(out[0], xi)
+        if actor is None:
+            out, pc = self.policy.forward(s)
+            actor = (pc, *self.head.sample(out[0], np.asarray(xi, dtype=dt)))
+        pc, a_new, logp, head_cache = actor
         sa_new = np.concatenate([s, a_new], axis=1)
         qq, qc = self.q.forward(sa_new)
         take1 = qq[0, :, 0] <= qq[1, :, 0]
@@ -229,11 +239,12 @@ class SACLearner:
         dq = np.zeros((2, batch, 1), dtype=dt)
         dq[0, take1, 0] = -1.0 / batch
         dq[1, ~take1, 0] = -1.0 / batch
-        _, dx = self.q.backward(qc, dq)
-        d_action = dx[0, :, self.state_dim:] + dx[1, :, self.state_dim:]
+        # Only the action columns of the critics' input gradient are needed.
+        _, dx = self.q.backward(qc, dq, params=False, input_cols=slice(self.state_dim, None))
+        d_action = dx[0] + dx[1]
         d_logp = np.full(batch, alpha / batch, dtype=dt)
         d_out = self.head.backward(head_cache, d_action, d_logp)
-        grads, _ = self.policy.backward(pc, d_out[None])
+        grads, _ = self.policy.backward(pc, d_out[None], input_cols=None)
         return loss, grads, logp
 
     # -- parameter access ---------------------------------------------------------

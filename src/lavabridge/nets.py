@@ -78,13 +78,19 @@ class MLP:
     def n_layers(self) -> int:
         return len(self.sizes) - 1
 
-    def forward(self, x: np.ndarray):
-        """Input (batch, in); returns (output (members, batch, out), cache)."""
+    def forward(self, x: np.ndarray, keep_cache: bool = True):
+        """Input (batch, in); returns (output (members, batch, out), cache).
+
+        The cache is [x, (h, r), ..., output] with each hidden layer's output
+        ``h`` and the root ``r`` of its activation; ``keep_cache=False`` makes
+        a forward-only pass that returns ``None`` for it.
+        """
         acts = [x]
         h = x  # (batch, in) broadcasts against (members, in, out) on the first layer
         last = self.n_layers - 1
         for layer in range(self.n_layers):
-            z = np.matmul(h, self.params[2 * layer]) + self.params[2 * layer + 1]
+            z = np.matmul(h, self.params[2 * layer])
+            z += self.params[2 * layer + 1]
             if layer != last:
                 r = 1.0 / np.sqrt(1.0 + z * z)  # activation x/sqrt(1+x^2); slope r^3
                 h = z * r
@@ -92,28 +98,41 @@ class MLP:
             else:
                 h = z
                 acts.append(h)
-        return h, acts
+        return h, (acts if keep_cache else None)
 
-    def backward(self, cache, dout: np.ndarray):
+    def backward(self, cache, dout: np.ndarray, params: bool = True, input_cols=slice(None)):
         """Gradient of a scalar loss given d(loss)/d(output) of shape (members, batch, out).
 
         Returns (flat_grad, dx) with dx of shape (members, batch, in): the
         input gradient through each member separately. ``member_params`` splits
-        the flat gradient per member. Each call allocates a fresh gradient buffer.
+        the flat gradient per member; each call allocates a fresh gradient
+        buffer. ``params=False`` computes no parameter gradient (``flat_grad``
+        is ``None``); ``input_cols`` picks the input columns that ``dx``
+        covers, and ``None`` skips it.
         """
-        flat_grad = np.zeros_like(self.flat)
-        grads = self._views(flat_grad)
+        flat_grad = np.empty_like(self.flat) if params else None
+        grads = self._views(flat_grad) if params else None
         delta = dout
         for layer in range(self.n_layers - 1, -1, -1):
-            a_in = cache[layer] if layer == 0 else cache[layer][0]
-            # The shared first-layer input is 2-D, hidden activations are 3-D.
-            np.matmul(np.swapaxes(a_in, -1, -2), delta, out=grads[2 * layer])
-            np.sum(delta, axis=1, keepdims=True, out=grads[2 * layer + 1])
+            if params:
+                a_in = cache[layer] if layer == 0 else cache[layer][0]
+                # The shared first-layer input is 2-D, hidden activations are 3-D.
+                np.matmul(np.swapaxes(a_in, -1, -2), delta, out=grads[2 * layer])
+                np.sum(delta, axis=1, keepdims=True, out=grads[2 * layer + 1])
+            if layer == 0:
+                if input_cols is None:
+                    return flat_grad, None
+                dx = np.matmul(delta, np.swapaxes(self.params[0], -1, -2))
+                return flat_grad, dx[:, :, input_cols]
             delta = np.matmul(delta, np.swapaxes(self.params[2 * layer], -1, -2))
-            if layer != 0:
-                r = cache[layer][1]
-                delta = delta * (r * r * r)
-        return flat_grad, delta
+            r = cache[layer][1]
+            delta = delta * (r * r * r)
+
+    @staticmethod
+    def cache_rows(cache, rows: slice):
+        """The rows ``rows`` of a forward's cache, for a backward through part of the batch."""
+        x, *hidden, out = cache
+        return [x[rows], *((h[:, rows], r[:, rows]) for h, r in hidden), out[:, rows]]
 
     def copy_from(self, other: "MLP") -> None:
         self.flat[...] = other.flat

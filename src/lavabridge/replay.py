@@ -1,9 +1,9 @@
 """Ring replay buffer with a freezable demonstration prefix.
 
-A transition is stored as one row of five arrays: state ``(4,)``, force
-``(2,)``, reward, next state ``(4,)`` and ``done``. ``done`` marks true
-environment termination (goal or lava), never timeouts, so bootstrapping
-stays horizon-agnostic.
+A transition is stored as one packed row ``[s | a | s2 | r | done]``: state
+``(4,)``, force ``(2,)``, next state ``(4,)``, reward and ``done``, 12
+columns in all. ``done`` marks true environment termination (goal or lava),
+never timeouts, so bootstrapping stays horizon-agnostic.
 """
 
 from __future__ import annotations
@@ -14,22 +14,27 @@ __all__ = ["ReplayBuffer", "prefill_demo"]
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO storage over flat float64 arrays.
+    """Fixed-capacity FIFO storage over one packed ``(capacity, width)`` array.
 
+    Rows are held in ``dtype``, the learner's training dtype, so a sampled
+    batch goes to the networks without conversion; ``states``, ``actions``,
+    ``next_states``, ``rewards`` and ``dones`` are column views of ``rows``.
     The first ``frozen_prefix_len`` rows are exempt from eviction: online
     insertions cycle through the remaining slots oldest-first. Sampling is
     uniform over everything currently stored, frozen rows included.
     """
 
-    def __init__(self, capacity: int, state_dim: int = 4, act_dim: int = 2):
+    def __init__(self, capacity: int, state_dim: int = 4, act_dim: int = 2, dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.states = np.zeros((capacity, state_dim), dtype=np.float64)
-        self.actions = np.zeros((capacity, act_dim), dtype=np.float64)
-        self.rewards = np.zeros(capacity, dtype=np.float64)
-        self.next_states = np.zeros((capacity, state_dim), dtype=np.float64)
-        self.dones = np.zeros(capacity, dtype=np.float64)
+        sa = state_dim + act_dim
+        self.rows = np.zeros((capacity, 2 * state_dim + act_dim + 2), dtype=dtype)
+        self.states = self.rows[:, :state_dim]
+        self.actions = self.rows[:, state_dim:sa]
+        self.next_states = self.rows[:, sa:sa + state_dim]
+        self.rewards = self.rows[:, -2]
+        self.dones = self.rows[:, -1]
         self.frozen_prefix_len = 0
         self._size = 0
         self._pos = 0  # next online slot
@@ -62,20 +67,18 @@ class ReplayBuffer:
         if self._size < self.capacity:
             self._size += 1
 
-    def sample_indices(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """``batch_size`` packed rows drawn uniformly with replacement, as one
+        ``(batch_size, width)`` array; ``split`` names its columns."""
         if batch_size > self._size:
             raise ValueError(f"batch size {batch_size} exceeds buffer size {self._size}")
-        return rng.integers(self._size, size=batch_size)
+        return self.rows[rng.integers(self._size, size=batch_size)]
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        idx = self.sample_indices(batch_size, rng)
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx],
-            self.dones[idx],
-        )
+    def split(self, rows: np.ndarray):
+        """Column views ``(s, a, r, s2, done)`` of packed rows, such as a sampled batch."""
+        sd = self.states.shape[1]
+        sa = sd + self.actions.shape[1]
+        return rows[:, :sd], rows[:, sd:sa], rows[:, -2], rows[:, sa:sa + sd], rows[:, -1]
 
 
 def prefill_demo(buffer: ReplayBuffer, states, actions, rewards, next_states, dones) -> None:

@@ -155,7 +155,9 @@ class TestSampling:
         buf = ReplayBuffer(capacity=8)
         for i in range(6):
             buf.add(*mk_transition(float(i)))
-        s, a, r, s2, done = buf.sample(4, np.random.default_rng(1))
+        rows = buf.sample(4, np.random.default_rng(1))
+        assert rows.shape == (4, 12)
+        s, a, r, s2, done = buf.split(rows)
         assert s.shape == (4, 4) and a.shape == (4, 2)
         assert r.shape == (4,) and s2.shape == (4, 4) and done.shape == (4,)
 
@@ -167,6 +169,42 @@ class TestSampling:
         rng = np.random.default_rng(2)
         seen = set()
         for _ in range(200):
-            s, *_ = buf.sample(2, rng)
+            s, *_ = buf.split(buf.sample(2, rng))
             seen.update(s[:, 0].tolist())
         assert seen == {100.0, 0.0}
+
+
+class TestPackedRows:
+    def test_layout_is_s_a_s2_r_done(self):
+        buf = ReplayBuffer(capacity=4)
+        buf.add(np.array([1.0, 2.0, 3.0, 4.0]), (5.0, 6.0), 11.0, np.array([7.0, 8.0, 9.0, 10.0]), True)
+        assert buf.rows[0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 1.0]
+        for view in (buf.states, buf.actions, buf.next_states, buf.rewards, buf.dones):
+            assert view.base is buf.rows
+
+    def test_sample_gathers_the_drawn_rows(self):
+        buf = ReplayBuffer(capacity=16)
+        for i in range(10):
+            buf.add(*mk_transition(float(i), done=i % 3 == 0))
+        rows = buf.sample(8, np.random.default_rng(3))
+        idx = np.random.default_rng(3).integers(10, size=8)
+        assert np.array_equal(rows, buf.rows[idx])
+        s, a, r, s2, done = buf.split(rows)
+        for got, stored in zip((s, a, r, s2, done),
+                               (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)):
+            assert np.array_equal(got, stored[idx])
+
+    def test_float32_rows_equal_float64_rows_cast(self):
+        # Storing in the learner's dtype rounds each value once, as the cast
+        # of a float64 row would.
+        rng = np.random.default_rng(4)
+        b64 = ReplayBuffer(capacity=64)
+        b32 = ReplayBuffer(capacity=64, dtype=np.float32)
+        for _ in range(50):
+            s, s2 = rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 4)
+            a = tuple(rng.uniform(-1, 1, 2).tolist())
+            r, done = float(rng.standard_normal()), bool(rng.integers(2))
+            b64.add(s, a, r, s2, done)
+            b32.add(s, a, r, s2, done)
+        assert b32.rows.dtype == np.float32
+        assert b32.rows.tobytes() == b64.rows.astype(np.float32).tobytes()
