@@ -139,7 +139,10 @@ class MLP:
 
 
 class Adam:
-    """Standard Adam with bias correction over a network's flat parameters."""
+    """Standard Adam with bias correction over a network's flat parameters.
+
+    ``step`` works in two preallocated buffers and makes no temporaries.
+    """
 
     def __init__(self, net: MLP, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -151,17 +154,28 @@ class Adam:
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
         self.t = 0
+        self._num = np.empty_like(net.flat)
+        self._den = np.empty_like(net.flat)
 
     def step(self, flat_grad: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        num, den = self._num, self._den
         self.m *= b1
-        self.m += (1.0 - b1) * flat_grad
+        self.m += np.multiply(flat_grad, 1.0 - b1, out=num)
         self.v *= b2
-        self.v += (1.0 - b2) * (flat_grad * flat_grad)
+        np.multiply(flat_grad, flat_grad, out=num)
+        self.v += np.multiply(num, 1.0 - b2, out=num)
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        self.net.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        # flat -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(self.m, c1, out=num)
+        num *= self.lr
+        np.divide(self.v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        self.net.flat -= num
 
 
 def ema_update(target, source, tau: float) -> None:
