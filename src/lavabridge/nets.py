@@ -81,23 +81,25 @@ class MLP:
     def forward(self, x: np.ndarray, keep_cache: bool = True):
         """Input (batch, in); returns (output (members, batch, out), cache).
 
-        The cache is [x, (h, r), ..., output] with each hidden layer's output
-        ``h`` and the root ``r`` of its activation; ``keep_cache=False`` makes
-        a forward-only pass that returns ``None`` for it.
+        The cache is [x, (h, s), ..., output] with each hidden layer's output
+        ``h = z / s`` and the root ``s = sqrt(1 + z^2)`` of its activation;
+        ``keep_cache=False`` makes a forward-only pass that returns ``None``
+        for it.
         """
         acts = [x]
         h = x  # (batch, in) broadcasts against (members, in, out) on the first layer
         last = self.n_layers - 1
         for layer in range(self.n_layers):
-            z = np.matmul(h, self.params[2 * layer])
-            z += self.params[2 * layer + 1]
+            h = np.matmul(h, self.params[2 * layer])
+            h += self.params[2 * layer + 1]
             if layer != last:
-                r = 1.0 / np.sqrt(1.0 + z * z)  # activation x/sqrt(1+x^2); slope r^3
-                h = z * r
-                acts.append((h, r))
-            else:
-                h = z
-                acts.append(h)
+                s = np.multiply(h, h)  # activation z / sqrt(1 + z^2); slope 1 / s^3
+                s += 1.0
+                np.sqrt(s, out=s)
+                h /= s
+                if keep_cache:
+                    acts.append((h, s))
+        acts.append(h)
         return h, (acts if keep_cache else None)
 
     def backward(self, cache, dout: np.ndarray, params: bool = True, input_cols=slice(None)):
@@ -112,21 +114,24 @@ class MLP:
         """
         flat_grad = np.empty_like(self.flat) if params else None
         grads = self._views(flat_grad) if params else None
+        ones = np.ones((1, dout.shape[1]), dtype=self.dtype) if params else None
         delta = dout
         for layer in range(self.n_layers - 1, -1, -1):
+            w = self.params[2 * layer]
             if params:
                 a_in = cache[layer] if layer == 0 else cache[layer][0]
                 # The shared first-layer input is 2-D, hidden activations are 3-D.
                 np.matmul(np.swapaxes(a_in, -1, -2), delta, out=grads[2 * layer])
-                np.sum(delta, axis=1, keepdims=True, out=grads[2 * layer + 1])
+                np.matmul(ones, delta, out=grads[2 * layer + 1])  # bias: column sums
             if layer == 0:
                 if input_cols is None:
                     return flat_grad, None
-                dx = np.matmul(delta, np.swapaxes(self.params[0], -1, -2))
-                return flat_grad, dx[:, :, input_cols]
-            delta = np.matmul(delta, np.swapaxes(self.params[2 * layer], -1, -2))
-            r = cache[layer][1]
-            delta = delta * (r * r * r)
+                return flat_grad, np.matmul(delta, np.swapaxes(w[:, input_cols, :], -1, -2))
+            delta = np.matmul(delta, np.swapaxes(w, -1, -2))
+            s = cache[layer][1]
+            delta /= s
+            delta /= s
+            delta /= s
 
     @staticmethod
     def cache_rows(cache, rows: slice):

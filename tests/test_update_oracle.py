@@ -11,9 +11,10 @@ oracle within a few ulps instead of bit for bit:
 - on identical learner state, batch and noise (two generators in the same
   state; one ``(2B, 2)`` normal draw equals the oracle's two ``(B, 2)``
   draws);
-- the critic targets ``y``, both losses, the entropy, and the flat critic
+- the critic targets ``y``, both losses, the log-probs, and the flat critic
   and policy gradients, each within ``ULPS`` units in the last place of the
-  training dtype, relative to the norm of the oracle's value;
+  training dtype, relative to the norm of the oracle's value; the entropy,
+  a mean of log-probs of both signs, relative to their mean magnitude;
 - the policy gradient is taken against the critics that the current update
   stepped to, copied into the oracle at its critic step, so it compares one
   function on one input;
@@ -226,7 +227,8 @@ def recorded_update(learner, buffer, rng, critic_after=None):
 
     def policy(*args):
         rec["calls"].append("policy")
-        return policy_fn(*args)
+        loss, grad, rec["logp"] = policy_fn(*args)
+        return loss, grad, rec["logp"]
 
     def step_q(grad):
         rec["qg"] = grad.copy()
@@ -251,11 +253,13 @@ def recorded_update(learner, buffer, rng, critic_after=None):
     return rec
 
 
-def assert_close(got, want, dtype, what):
+def assert_close(got, want, dtype, what, scale=None):
+    """``got`` within ``ULPS`` ulps of ``scale``, by default the norm of ``want``."""
     got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    bound = ULPS * np.finfo(dtype).eps * float(np.linalg.norm(want))
+    scale = float(np.linalg.norm(want)) if scale is None else scale
+    bound = ULPS * np.finfo(dtype).eps * scale
     err = float(np.max(np.abs(got - want)))
-    assert err <= bound, f"{what}: max error {err:.3g} > {bound:.3g} ({ULPS} ulps of the norm)"
+    assert err <= bound, f"{what}: max error {err:.3g} > {bound:.3g} ({ULPS} ulps of {scale:.3g})"
 
 
 def compare_one_update(learner, buffer, seed):
@@ -269,8 +273,12 @@ def compare_one_update(learner, buffer, seed):
     assert_close(new["y"], ref["y"], dt, "y")
     assert_close(new["qg"], ref["qg"], dt, "critic gradient")
     assert_close(new["pg"], ref["pg"], dt, "policy gradient")
-    for key in ("critic_loss", "policy_loss", "entropy"):
+    assert_close(new["logp"], ref["logp"], dt, "log-probs")
+    for key in ("critic_loss", "policy_loss"):
         assert_close(new["report"][key], ref["report"][key], dt, key)
+    # The entropy is a mean of log-probs of both signs: its scale is theirs.
+    assert_close(new["report"]["entropy"], ref["report"]["entropy"], dt, "entropy",
+                 scale=float(np.mean(np.abs(ref["logp"]))))
     return new, ref
 
 
