@@ -63,6 +63,14 @@ class LearnerConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must be in (0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        if not (math.isfinite(self.log_std_min) and math.isfinite(self.log_std_max)):
+            raise ValueError("log_std_min and log_std_max must be finite")
+        if self.log_std_min >= self.log_std_max:
+            raise ValueError("log_std_min must be below log_std_max")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch size exceeds buffer capacity")
         if self.lr <= 0.0:

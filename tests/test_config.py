@@ -231,6 +231,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("learner.grad_steps", "0"),
+        ("learner.batch_size", "0"),
+        ("learner.batch_size", "-4"),
+        ("learner.hidden", "0"),
+        ("learner.hidden", "64,0"),
+        ("learner.log_std_min", "2"),      # above the default log_std_max of 1
+        ("learner.log_std_max", "-3"),     # equal to the default log_std_min
+        ("learner.log_std_min", "nan"),
+        ("learner.log_std_max", "inf"),
         ("learner.lr", "-1"),
         ("learner.tau", "2"),
         ("learner.alpha", "-0.5"),
@@ -245,6 +253,19 @@ class TestValidation:
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ValueError, match=key.split(".")[1]):
             config_from_mapping({"run.method": "sac", key: value})
+
+    @pytest.mark.parametrize("kw,match", [
+        ({"batch_size": 0}, "batch_size"),           # was ZeroDivisionError at the first update
+        ({"hidden": (0,)}, "hidden"),                 # was ZeroDivisionError in MLP.__init__
+        ({"hidden": (64, -1)}, "hidden"),
+        ({"log_std_min": 2.0, "log_std_max": -1.0}, "log_std_min"),  # was a silently flipped bound
+        ({"log_std_min": 0.5, "log_std_max": 0.5}, "log_std_min"),
+        ({"log_std_min": float("-inf")}, "finite"),
+        ({"log_std_max": float("nan")}, "finite"),
+    ])
+    def test_learner_config_rejects_at_construction(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            LearnerConfig(**kw)
 
     def test_bad_scalar_names_its_key(self):
         with pytest.raises(ValueError, match="config key learner.batch_size"):
