@@ -182,7 +182,7 @@ class SACLearner:
 
         # Twin critic regression on the [s | a] columns of the packed rows,
         # then a reparameterized policy step against the updated critics.
-        critic_loss, qg = self.critic_loss_and_grads(rows[:, : self.state_dim + self.act_dim], None, y)
+        critic_loss, qg = self.critic_loss_and_grads(buffer.state_actions(rows), None, y)
         self.q_opt.step(qg)
 
         half = slice(batch, 2 * batch)

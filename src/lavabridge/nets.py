@@ -14,6 +14,15 @@ flat vector with per-layer views, so optimizer and target-averaging updates
 are a handful of large vector ops. The training dtype is configurable:
 float32 for the hot loop, float64 where finite-difference comparisons need the
 headroom.
+
+The forward cache holds, per hidden layer, the output ``h = z / s`` and the
+root ``s = sqrt(1 + z^2)``: the activation's slope is ``1 / s^3``, so the
+backward divides by ``s`` three times and keeps no other temporaries. A
+forward-only pass (``keep_cache=False``) keeps nothing. The backward has two
+modes beyond the full one: ``params=False`` skips every parameter gradient,
+and ``input_cols`` returns the input gradient of some input columns only (or
+none). The policy loss uses both to reach the action columns of the critics'
+input gradient.
 """
 
 from __future__ import annotations
@@ -137,7 +146,7 @@ class MLP:
     def cache_rows(cache, rows: slice):
         """The rows ``rows`` of a forward's cache, for a backward through part of the batch."""
         x, *hidden, out = cache
-        return [x[rows], *((h[:, rows], r[:, rows]) for h, r in hidden), out[:, rows]]
+        return [x[rows], *((h[:, rows], s[:, rows]) for h, s in hidden), out[:, rows]]
 
     def copy_from(self, other: "MLP") -> None:
         self.flat[...] = other.flat

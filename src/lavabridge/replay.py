@@ -80,6 +80,10 @@ class ReplayBuffer:
         sa = sd + self.actions.shape[1]
         return rows[:, :sd], rows[:, sd:sa], rows[:, -2], rows[:, sa:sa + sd], rows[:, -1]
 
+    def state_actions(self, rows: np.ndarray) -> np.ndarray:
+        """The ``[s | a]`` columns of packed rows as one strided view, no copy."""
+        return rows[:, : self.states.shape[1] + self.actions.shape[1]]
+
 
 def prefill_demo(buffer: ReplayBuffer, states, actions, rewards, next_states, dones) -> None:
     """Copy n demonstration transitions, given as five arrays of n rows, into the frozen prefix.

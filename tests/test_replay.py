@@ -193,6 +193,8 @@ class TestPackedRows:
         for got, stored in zip((s, a, r, s2, done),
                                (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)):
             assert np.array_equal(got, stored[idx])
+        sa = buf.state_actions(rows)
+        assert sa.base is rows and np.array_equal(sa, np.concatenate([s, a], axis=1))
 
     def test_float32_rows_equal_float64_rows_cast(self):
         # Storing in the learner's dtype rounds each value once, as the cast

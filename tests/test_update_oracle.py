@@ -306,10 +306,11 @@ class TestAgainstOracle:
         if done_rate == 1.0:  # every target is its reward, exactly
             assert np.array_equal(new["y"], ref["y"])
 
-    def test_float64_buffer_feeds_a_float32_learner_the_same_batch(self, dtype):
-        learner = make_learner("float32", seed=10)
-        buffer = fill(ReplayBuffer(4096, dtype=dtype), 500, 0.2, seed=11)
-        compare_one_update(learner, buffer, seed=12)
+
+def test_float64_buffer_feeds_a_float32_learner():
+    learner = make_learner("float32", seed=10)
+    buffer = fill(ReplayBuffer(4096), 500, 0.2, seed=11)
+    compare_one_update(learner, buffer, seed=12)
 
 
 def critic_with_batch(dtype, sizes=(6, 64, 64, 1), batch=256, seed=13):
