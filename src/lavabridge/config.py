@@ -71,6 +71,9 @@ class EnvSettings:
     goal_reward: float = _DYNAMICS["goal_reward"]
     lava_reward: float = _DYNAMICS["lava_reward"]
 
+    def __post_init__(self):
+        self.build(_DYNAMICS["horizon"])  # the env's own checks, before any run starts
+
     def geometry(self) -> WorldGeometry:
         return WorldGeometry(
             world=Rect(*self.world),

@@ -125,7 +125,8 @@ class WorldGeometry:
         return False
 
     def in_goal(self, x: float, y: float) -> bool:
-        return math.hypot(x - self.goal_center.x, y - self.goal_center.y) <= self.goal_radius
+        dx, dy = x - self.goal_center.x, y - self.goal_center.y
+        return math.sqrt(dx * dx + dy * dy) <= self.goal_radius
 
     def validate(self) -> None:
         w = self.world
@@ -137,9 +138,15 @@ class WorldGeometry:
                 raise ValueError(f"lava rectangle {rect} escapes world bounds")
         if self.in_lava(self.goal_center.x, self.goal_center.y):
             raise ValueError("goal center lies inside lava")
-        for mean, _std in self.start_blobs:
+        if not self.goal_radius > 0.0:
+            raise ValueError(f"goal_radius {self.goal_radius} must be positive")
+        for mean, std in self.start_blobs:
             if self.in_lava(mean.x, mean.y) or not w.contains(mean.x, mean.y):
                 raise ValueError(f"start blob mean {mean} is terminal or out of bounds")
+            if not std >= 0.0:
+                raise ValueError(f"start_blobs std {std} must be >= 0")
+        if not self.ood_jitter >= 0.0:
+            raise ValueError(f"ood_jitter {self.ood_jitter} must be >= 0")
         for pt in self.ood_points:
             if self.in_lava(pt.x, pt.y) or not w.contains(pt.x, pt.y):
                 raise ValueError(f"OOD point {pt} is terminal or out of bounds")
@@ -157,72 +164,6 @@ class StepResult:
 # Cap on rejection resampling in sample_start before falling back to the
 # unjittered component mean/point.
 _MAX_START_REJECTS = 100
-
-# Veltkamp-Dekker splitter 2**27 + 1: splits a double into two 26-bit halves.
-_SPLIT = 134217729.0
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's error-free product: hi + lo == a * b exactly (no overflow)."""
-    hi = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-
-
-def _fast_two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Error-free sum for |a| >= |b|: hi + lo == a + b exactly."""
-    hi = a + b
-    return hi, (a - hi) + b
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.hypot`` of finite inputs, equal to it bit for bit.
-
-    A port of CPython 3.11's two-argument ``vector_norm``: lossless scaling of
-    both inputs by a power of two, Dekker squaring, a compensated sum and one
-    differential correction of the square root. When the larger input is
-    below 2**-1024 (frexp exponent < -1023) the power-of-two scale would
-    overflow, so, like CPython, those elements divide by the larger input
-    instead and take a compensated sum without the correction step.
-    ``np.hypot`` rounds differently in the last bit on about 0.6% of inputs.
-    """
-    x = np.abs(np.asarray(x, dtype=np.float64))
-    y = np.abs(np.asarray(y, dtype=np.float64))
-    big = np.maximum(x, y)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        _, e = np.frexp(big)
-        sub = e < -1023
-        scale = np.ldexp(1.0, np.where(sub, 0, -e))
-        csum = np.ones_like(big)
-        frac1 = np.zeros_like(big)
-        frac2 = np.zeros_like(big)
-        for v in (x * scale, y * scale):
-            sq, sq_lo = _two_product(v, v)
-            csum, sum_lo = _fast_two_sum(csum, sq)
-            frac1 = frac1 + sq_lo
-            frac2 = frac2 + sum_lo
-        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-        sq, sq_lo = _two_product(-h, h)
-        csum, sum_lo = _fast_two_sum(csum, sq)
-        frac1 = frac1 + sq_lo
-        frac2 = frac2 + sum_lo
-        h = h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
-        out = h / scale
-        if sub.any():
-            csum = np.ones_like(big)
-            frac = np.zeros_like(big)
-            for v in (x / big, y / big):
-                v = v * v
-                old = csum
-                csum = csum + v
-                frac = frac + ((old - csum) + v)
-            out = np.where(sub, big * np.sqrt(csum - 1.0 + frac), out)
-    return np.where(big == 0.0, big, out)
 
 
 class LavaBridgeEnv:
@@ -263,7 +204,7 @@ class LavaBridgeEnv:
         self.goal_reward = float(goal_reward)
         self.lava_reward = float(lava_reward)
         self.horizon = int(horizon)
-        if self.dt <= 0 or self.f_max <= 0 or self.v_max <= 0 or self.horizon < 1:
+        if not (self.dt > 0 and self.f_max > 0 and self.v_max > 0) or self.horizon < 1:
             raise ValueError("dt, f_max, v_max must be positive and horizon >= 1")
         blob = self.geometry.start_blobs[0][0]
         self._px, self._py, self._vx, self._vy = blob.x, blob.y, 0.0, 0.0
@@ -316,7 +257,7 @@ class LavaBridgeEnv:
             raise InvalidResetError(f"reset position ({px}, {py}) outside world bounds")
         if self.geometry.in_lava(px, py):
             raise InvalidResetError(f"reset position ({px}, {py}) is inside lava")
-        speed = math.hypot(vx, vy)
+        speed = math.sqrt(vx * vx + vy * vy)
         if speed > self.v_max * (1.0 + 1e-12):
             raise InvalidResetError(f"reset speed {speed:.3f} exceeds v_max")
         self._px, self._py, self._vx, self._vy = px, py, vx, vy
@@ -372,7 +313,7 @@ class LavaBridgeEnv:
         drag = self.drag
         vx = self._vx + (fx - drag * self._vx) * dt
         vy = self._vy + (fy - drag * self._vy) * dt
-        speed = math.hypot(vx, vy)
+        speed = math.sqrt(vx * vx + vy * vy)
         if speed > self.v_max:
             scale = self.v_max / speed
             vx *= scale
@@ -414,9 +355,13 @@ class LavaBridgeEnv:
         ``(N, 2)``. Returns the next states ``(N, 4)`` and two ``(N,)`` bool
         masks: landed in lava, and landed in the goal disc (never both, since
         lava is tested first). Each row matches the scalar ``step`` bit for
-        bit. This is a pure function of its arguments: the env's own state,
-        step counter and termination flag are untouched, and timeouts are
-        left to the caller.
+        bit, because both paths run the same correctly rounded IEEE-754
+        operations in the same order; the norms are ``sqrt(x * x + y * y)``
+        on both, and neither Python nor separate numpy ufuncs fuse them into
+        an FMA. Rows are reachable states (finite, within the world, at most
+        ``v_max`` fast), so the squares cannot overflow. This is a pure
+        function of its arguments: the env's own state, step counter and
+        termination flag are untouched, and timeouts are left to the caller.
         """
         s = np.asarray(states, dtype=np.float64)
         f = np.asarray(forces, dtype=np.float64)
@@ -427,7 +372,7 @@ class LavaBridgeEnv:
         drag = self.drag
         vx = s[:, 2] + (fx - drag * s[:, 2]) * dt
         vy = s[:, 3] + (fy - drag * s[:, 3]) * dt
-        speed = _hypot(vx, vy)
+        speed = np.sqrt(vx * vx + vy * vy)
         over = speed > self.v_max
         scale = np.divide(self.v_max, speed, out=np.ones_like(speed), where=over)
         vx = vx * scale
@@ -446,8 +391,8 @@ class LavaBridgeEnv:
         lava = np.zeros(len(s), dtype=bool)
         for rect in self.geometry.lava:
             lava |= (rect.xmin <= px) & (px <= rect.xmax) & (rect.ymin <= py) & (py <= rect.ymax)
-        goal_center = self.geometry.goal_center
-        goal = ~lava & (_hypot(px - goal_center.x, py - goal_center.y) <= self.geometry.goal_radius)
+        dx, dy = px - self.geometry.goal_center.x, py - self.geometry.goal_center.y
+        goal = ~lava & (np.sqrt(dx * dx + dy * dy) <= self.geometry.goal_radius)
         return np.stack([px, py, vx, vy], axis=1), lava, goal
 
     def is_terminal(self, state: State) -> Cause:

@@ -95,8 +95,12 @@ class SamplerConfig:
             raise ValueError("scale entries must be positive")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
+        if not self.tau0 > 0.0:
+            raise ValueError("tau0 must be positive")
         if self.tau0 > self.tau1:
             raise ValueError("tau0 must not exceed tau1")
+        if self.k_safety < 1:
+            raise ValueError("k_safety must be >= 1")
         if self.n_safety_rollouts < 1:
             raise ValueError("n_safety_rollouts must be >= 1")
 

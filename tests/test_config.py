@@ -60,9 +60,12 @@ learner.dtype = float64
 """
 
 # Valid non-default values for the fields whose type cannot be perturbed
-# arithmetically.
-OTHER_STRINGS = {"method": "sac", "demo_archive": "runs/demos.csv", "kind": "omega",
-                 "dtype": "float64"}
+# arithmetically, and for the geometry that halving would break (the halved
+# world drops the lava outside it, the halved goal lies in lava, and the
+# halved lava covers an OOD point).
+OTHER_VALUES = {"method": "sac", "demo_archive": "runs/demos.csv", "kind": "omega",
+                "dtype": "float64", "world": (0.0, 0.0, 12.0, 10.0),
+                "lava": ((4.0, 0.0, 6.0, 4.0), (4.0, 6.0, 6.0, 10.0)), "goal": (9.0, 4.5)}
 
 BASE = RunConfig(demo_archive="demos.csv")
 
@@ -81,6 +84,8 @@ def all_keys():
 
 def other_value(name, value):
     """A valid value different from ``value``."""
+    if name in OTHER_VALUES:
+        return OTHER_VALUES[name]
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -89,7 +94,7 @@ def other_value(name, value):
         return value / 2
     if isinstance(value, tuple):
         return tuple(other_value(name, v) for v in value)
-    return OTHER_STRINGS[name]
+    raise KeyError(name)
 
 
 class TestParsing:
@@ -245,6 +250,13 @@ class TestValidation:
         ("learner.dtype", "int8"),
         ("sampler.scale", "0,1,1,1"),
         ("sampler.n_safety_rollouts", "0"),
+        ("sampler.tau0", "0"),             # GoalDistSampler divided by zero at t=0
+        ("sampler.tau0", "-1"),            # inverted the goal-distance weighting
+        ("sampler.k_safety", "0"),         # failed only inside the omega build
+        ("env.dt", "-1"),                  # failed only inside run_training, once per sweep seed
+        ("env.dt", "nan"),
+        ("env.goal_radius", "0"),
+        ("env.lava", "9,9,11,10"),         # a lava rectangle outside the world
         ("run.demo_subset", "0"),
         ("run.demo_archive", "runs/#1/demos.csv"),  # would reload cut at the comment
         ("run.demo_archive", "runs/a\nb.csv"),

@@ -134,3 +134,36 @@ def test_golden_archive_bytes(demo_archive, tmp_path):
     again = tmp_path / "again.csv"
     save_archive(load_archive(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# The dynamics' own digest: step_batch on one seeded batch of ~1,670 valid
+# resets, built like TestStepBatch's random batch, that takes the v_max clip,
+# the wall clamps, lava landings and goal landings. The run digests above do
+# not see the last bit of the clip scale: the eight golden runs take the clip
+# 173 times (45 in auxss), the scale v_max / speed differs between math.hypot
+# and sqrt(x * x + y * y) in 25 of those (5 in auxss), and no run digest
+# moves between the two norms. This digest does: 59 of its rows differ.
+# Pinned at the sqrt(x * x + y * y) norm.
+DYNAMICS = "a1eb26df0eaf7bd568a50ca6d90efaf6115d1e062afd5f269eed05893d6c275e"
+
+
+def test_golden_dynamics():
+    env = LavaBridgeEnv()
+    rng = np.random.default_rng(2)
+    n = 2000
+    angle = rng.uniform(0, 2 * np.pi, n)
+    speed = np.where(np.arange(n) % 2 == 0, env.v_max, rng.uniform(0, env.v_max, n))
+    rows = np.stack([rng.uniform(0, 10, n), rng.uniform(0, 10, n),
+                     speed * np.cos(angle), speed * np.sin(angle)], axis=1)
+    rows = rows[[not env.geometry.in_lava(px, py) for px, py in rows[:, :2]]]
+    rows = np.concatenate([rows, [[8.5, 5.0, 2.0, 0.0], [9.0, 5.3, 0.0, 0.5]]])
+    forces = rng.uniform(-2.5, 2.5, (len(rows), 2))
+    nxt, lava, goal = env.step_batch(rows, forces)
+    v = rows[:, 2:] + (np.clip(forces, -1, 1) - env.drag * rows[:, 2:]) * env.dt
+    assert (np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) > env.v_max).any()
+    assert ((nxt[:, :2] == 0.0) | (nxt[:, :2] == 10.0)).any()
+    assert lava.any() and goal.any()
+    h = hashlib.sha256()
+    for arr in (nxt, lava, goal):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == DYNAMICS
