@@ -123,7 +123,8 @@ class SACLearner:
     ) -> tuple[float, float]:
         """Force pair ``(fx, fy)`` for one ``(4,)`` state.
 
-        Deterministic mode takes the squashed mean.
+        Deterministic mode takes the squashed mean. The state is float64, so
+        a float32 policy's forward is promoted to float64 here.
         """
         s = np.asarray(state, dtype=np.float64)
         out = self.policy.forward(s[None, :])[0][0]
@@ -144,7 +145,8 @@ class SACLearner:
         input is stacked as (N, 1, in): numpy's matmul then runs the same
         single-row matrix-vector product once per row that ``act`` runs. A
         plain (N, in) batch takes the matrix-matrix path, whose rounding
-        differs from it in nearly every row.
+        differs from it in nearly every row. As in ``act``, the input is
+        float64, so a float32 policy runs in float64 here.
         """
         s = np.asarray(states, dtype=np.float64)
         out = self.policy.forward(s[:, None, :])[0][:, 0]
@@ -161,37 +163,44 @@ class SACLearner:
         next sampled action - alpha * its log-prob); the policy descends
         alpha * log pi - min twin Q with reparameterized samples. One actor
         pass over [s2; s] with one noise draw serves both: its first half
-        the targets, its second half the policy step.
+        the targets, its second half the policy step. Raises
+        ``DivergenceError`` when a float overflows or a loss is not finite.
         """
         cfg = self.cfg
         dt = self.dtype
         rng = rng if rng is not None else self.noise_rng
         batch = cfg.batch_size
-        rows = np.asarray(buffer.sample(batch, rng), dtype=dt)
-        s, _, r, s2, done = buffer.split(rows)
+        try:
+            # A float32 pre-activation beyond ~1.8e19 overflows z * z, and the
+            # activation would silently read 0 instead of +-1.
+            with np.errstate(over="raise"):
+                rows = np.asarray(buffer.sample(batch, rng), dtype=dt)
+                s, _, r, s2, done = buffer.split(rows)
 
-        out, pc = self.policy.forward(np.concatenate([s2, s]))
-        xi = rng.standard_normal((2 * batch, self.act_dim), dtype=dt)
-        a_pi, logp, head_cache = self.head.sample(out[0], xi)
+                out, pc = self.policy.forward(np.concatenate([s2, s]))
+                xi = rng.standard_normal((2 * batch, self.act_dim), dtype=dt)
+                a_pi, logp, head_cache = self.head.sample(out[0], xi)
 
-        # Critic targets (no gradients flow here).
-        sa2 = np.concatenate([s2, a_pi[:batch]], axis=1)
-        qt_pair, _ = self.q_target.forward(sa2, keep_cache=False)
-        qt = np.minimum(qt_pair[0, :, 0], qt_pair[1, :, 0])
-        y = r + cfg.gamma * (1.0 - done) * (qt - cfg.alpha * logp[:batch])
+                # Critic targets (no gradients flow here).
+                sa2 = np.concatenate([s2, a_pi[:batch]], axis=1)
+                qt_pair, _ = self.q_target.forward(sa2, keep_cache=False)
+                qt = np.minimum(qt_pair[0, :, 0], qt_pair[1, :, 0])
+                y = r + cfg.gamma * (1.0 - done) * (qt - cfg.alpha * logp[:batch])
 
-        # Twin critic regression on the [s | a] columns of the packed rows,
-        # then a reparameterized policy step against the updated critics.
-        critic_loss, qg = self.critic_loss_and_grads(buffer.state_actions(rows), None, y)
-        self.q_opt.step(qg)
+                # Twin critic regression on the [s | a] columns of the packed rows,
+                # then a reparameterized policy step against the updated critics.
+                critic_loss, qg = self.critic_loss_and_grads(buffer.state_actions(rows), None, y)
+                self.q_opt.step(qg)
 
-        half = slice(batch, 2 * batch)
-        actor = (MLP.cache_rows(pc, half), a_pi[half], logp[half],
-                 tuple(c[half] for c in head_cache))
-        policy_loss, pg, logp_s = self.policy_loss_and_grads(s, xi[half], actor)
-        self.policy_opt.step(pg)
+                half = slice(batch, 2 * batch)
+                actor = (MLP.cache_rows(pc, half), a_pi[half], logp[half],
+                         tuple(c[half] for c in head_cache))
+                policy_loss, pg, logp_s = self.policy_loss_and_grads(s, xi[half], actor)
+                self.policy_opt.step(pg)
 
-        ema_update(self.q_target, self.q, cfg.tau)
+                ema_update(self.q_target, self.q, cfg.tau)
+        except FloatingPointError as e:
+            raise DivergenceError(f"overflow in update {self.updates + 1}: {e}") from e
         self.updates += 1
 
         entropy = float(-np.mean(logp_s))

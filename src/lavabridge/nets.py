@@ -23,6 +23,26 @@ modes beyond the full one: ``params=False`` skips every parameter gradient,
 and ``input_cols`` returns the input gradient of some input columns only (or
 none). The policy loss uses both to reach the action columns of the critics'
 input gradient.
+
+Buffers and lifetimes. Each MLP owns reusable arrays for its hidden layers:
+the forward's matmul output ``h`` and root ``s``, and the backward's
+``delta``, one set per input shape. The forward and backward write into them
+with ``out=``, which runs the same kernels as a fresh result, so the bits do
+not change; a training update then allocates no large array, and the heap
+top is not returned to the OS and faulted back in on every update. The
+rules that follow:
+
+- A forward's output, the backward's flat gradient and its ``dx`` are fresh
+  arrays and stay valid.
+- The hidden ``(h, s)`` of a cache stay valid until the next forward of the
+  same net with an input of the same shape and dtype; a forward at another
+  row count, or of another net, leaves them alone.
+- Buffers are only used when the input (for the backward, ``dout``) has the
+  net's dtype. A float64 input to a float32 net, as ``act`` and
+  ``act_batch`` pass, runs in float64 on fresh arrays.
+- Memory grows with the number of distinct input shapes a net sees: one
+  per training pass, plus, in a float64 net, one per row count that acting
+  uses (at most one per lockstep evaluation episode).
 """
 
 from __future__ import annotations
@@ -56,6 +76,7 @@ class MLP:
         total = sum(self.members * (i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
         self.flat = np.zeros(total, dtype=self.dtype)
         self.params: list[np.ndarray] = self._views(self.flat)
+        self._buffers: dict[tuple, np.ndarray] = {}
         if rng is not None:
             for fan_in, (w, b) in zip(self.sizes[:-1], zip(self.params[0::2], self.params[1::2])):
                 bound = 1.0 / math.sqrt(fan_in)
@@ -93,16 +114,28 @@ class MLP:
         The cache is [x, (h, s), ..., output] with each hidden layer's output
         ``h = z / s`` and the root ``s = sqrt(1 + z^2)`` of its activation;
         ``keep_cache=False`` makes a forward-only pass that returns ``None``
-        for it.
+        for it. The output is a fresh array. When ``x`` has the net's dtype,
+        the hidden ``(h, s)`` live in this net's buffers for that input
+        shape, so the cache stays valid until the next forward of this net
+        with an input of the same shape and dtype.
         """
         acts = [x]
         h = x  # (batch, in) broadcasts against (members, in, out) on the first layer
         last = self.n_layers - 1
+        reuse = x.dtype == self.dtype  # other inputs (act's float64 rows) get fresh arrays
+        if reuse:  # hidden arrays are (members or x's leading axes, batch, width)
+            lead = ((self.members,) if x.ndim == 2
+                    else np.broadcast_shapes(x.shape[:-2], (self.members,)))
+            rows = (*lead, x.shape[-2])
         for layer in range(self.n_layers):
-            h = np.matmul(h, self.params[2 * layer])
+            w = self.params[2 * layer]
+            hidden = layer != last
+            out = self._buffer(("h", layer), (*rows, w.shape[-1])) if hidden and reuse else None
+            h = np.matmul(h, w, out=out)
             h += self.params[2 * layer + 1]
-            if layer != last:
-                s = np.multiply(h, h)  # activation z / sqrt(1 + z^2); slope 1 / s^3
+            if hidden:
+                # activation z / sqrt(1 + z^2); slope 1 / s^3
+                s = np.multiply(h, h, out=self._buffer(("s", layer), h.shape) if reuse else None)
                 s += 1.0
                 np.sqrt(s, out=s)
                 h /= s
@@ -117,13 +150,17 @@ class MLP:
         Returns (flat_grad, dx) with dx of shape (members, batch, in): the
         input gradient through each member separately. ``member_params`` splits
         the flat gradient per member; each call allocates a fresh gradient
-        buffer. ``params=False`` computes no parameter gradient (``flat_grad``
-        is ``None``); ``input_cols`` picks the input columns that ``dx``
-        covers, and ``None`` skips it.
+        buffer, and ``dx`` is fresh too, so both stay valid. ``params=False``
+        computes no parameter gradient (``flat_grad`` is ``None``);
+        ``input_cols`` picks the input columns that ``dx`` covers, and
+        ``None`` skips it. The hidden layers' deltas are internal and live in
+        this net's buffers when ``dout`` has the net's dtype; ``cache`` is
+        only read.
         """
         flat_grad = np.empty_like(self.flat) if params else None
         grads = self._views(flat_grad) if params else None
         ones = np.ones((1, dout.shape[1]), dtype=self.dtype) if params else None
+        reuse = dout.dtype == self.dtype
         delta = dout
         for layer in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * layer]
@@ -136,11 +173,19 @@ class MLP:
                 if input_cols is None:
                     return flat_grad, None
                 return flat_grad, np.matmul(delta, np.swapaxes(w[:, input_cols, :], -1, -2))
-            delta = np.matmul(delta, np.swapaxes(w, -1, -2))
+            out = self._buffer(("d", layer), (*delta.shape[:-1], w.shape[-2])) if reuse else None
+            delta = np.matmul(delta, np.swapaxes(w, -1, -2), out=out)
             s = cache[layer][1]
             delta /= s
             delta /= s
             delta /= s
+
+    def _buffer(self, key, shape: tuple) -> np.ndarray:
+        """This net's reusable array of its dtype for ``key`` and ``shape``, made on first use."""
+        buf = self._buffers.get((key, shape))
+        if buf is None:
+            buf = self._buffers[key, shape] = np.empty(shape, self.dtype)
+        return buf
 
     @staticmethod
     def cache_rows(cache, rows: slice):
@@ -195,7 +240,7 @@ class Adam:
 def ema_update(target, source, tau: float) -> None:
     """Polyak averaging over flat parameters: target <- (1-tau)*target + tau*source."""
     target.flat *= 1.0 - tau
-    target.flat += tau * source.flat
+    target.flat += np.multiply(source.flat, tau, out=target._buffer("ema", target.flat.shape))
 
 
 class SquashedGaussianHead:

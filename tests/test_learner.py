@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,72 @@ class TestUpdateStep:
         buf.add(mk_state(1.0, 1.0), (0.0, 0.0), 0.0, mk_state(1.0, 1.0), False)
         with pytest.raises(ValueError):
             learner.update_step(buf)
+
+
+    def test_overflow_raises_divergence(self):
+        # z * z overflows float32 past ~1.8e19, after which the activation
+        # would read 0 instead of +-1; the update must stop instead.
+        learner = mk_learner(seed=15)
+        buf = self.fill_identical(learner)
+        learner.update_step(buf)
+        learner.q.flat *= 1e30
+        with pytest.raises(DivergenceError, match="overflow in update 2"):
+            learner.update_step(buf)
+        assert learner.updates == 1
+
+    def test_steady_state_update_allocates_little(self):
+        # Large per-update temporaries went back to the OS and were faulted in
+        # again on every update; the nets' buffers keep the transient peak of
+        # a default float32 update small, and they stop growing after warm-up.
+        cfg = LearnerConfig()
+        learner = SACLearner(cfg, np.random.default_rng(16), np.random.default_rng(17))
+        buf = ReplayBuffer(capacity=cfg.buffer_capacity)
+        rng = np.random.default_rng(18)
+        for _ in range(2 * cfg.batch_size):
+            buf.add(rng.uniform(0, 10, 4), rng.uniform(-1, 1, 2), 0.0, rng.uniform(0, 10, 4),
+                    bool(rng.random() < 0.1))
+        for _ in range(3):
+            learner.update_step(buf)
+        numpy_domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+        def numpy_bytes():
+            snapshot = tracemalloc.take_snapshot().filter_traces(numpy_domain)
+            return sum(trace.size for trace in snapshot.traces)
+
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            learner.update_step(buf)
+            _, peak = tracemalloc.get_traced_memory()
+            held = numpy_bytes()
+            for _ in range(50):
+                learner.update_step(buf)
+            held_after = numpy_bytes()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 256 * 1024
+        assert held_after <= held
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_cache_survives_other_forwards(self, dtype):
+        # A cache lives in the net's buffers for its input shape: acting and a
+        # forward and backward at another row count must leave it intact.
+        learner = mk_learner(seed=19, dtype=dtype)
+        net = learner.policy
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((9, 4)).astype(dtype)
+        dout = rng.standard_normal((1, 9, 4)).astype(dtype)
+        _, cache = net.forward(x)
+        learner.act(mk_state(3.0, 4.0), stochastic=True)
+        learner.act_batch(rng.uniform(0, 5, (5, 4)))
+        _, other = net.forward(rng.standard_normal((3, 4)).astype(dtype))
+        net.backward(other, np.ones((1, 3, 4), dtype=dtype))
+        kept_grad, kept_dx = net.backward(cache, dout)
+        _, fresh = net.forward(x)
+        fresh_grad, fresh_dx = net.backward(fresh, dout)
+        assert np.array_equal(kept_grad, fresh_grad)
+        assert np.array_equal(kept_dx, fresh_dx)
 
 
 class TestTrainForOneEpisode:
