@@ -12,7 +12,7 @@ from .env import (
     WorldGeometry,
 )
 from .samplers import DemoStates, SamplerConfig, SamplerWeights
-from .safety import SafetyEstimate, brute_force_safety, estimate_safety
+from .safety import SafetyEstimate, estimate_safety
 from .replay import ReplayBuffer, prefill_demo
 from .learner import (
     DivergenceError,

@@ -133,7 +133,7 @@ class SACLearner:
         if stochastic:
             rng = rng if rng is not None else self.noise_rng
             xi = rng.standard_normal((1, self.act_dim))
-            a, _, _ = self.head.sample(out, xi)
+            a = self.head.action(out, xi)
         else:
             a = self.head.mean_action(out)
         return float(a[0, 0]), float(a[0, 1])
@@ -203,7 +203,7 @@ class SACLearner:
             raise DivergenceError(f"overflow in update {self.updates + 1}: {e}") from e
         self.updates += 1
 
-        entropy = float(-np.mean(logp_s))
+        entropy = float(-(np.add.reduce(logp_s) / batch))
         if not (math.isfinite(critic_loss) and math.isfinite(policy_loss)):
             raise DivergenceError(
                 f"non-finite losses at update {self.updates}: critic={critic_loss}, policy={policy_loss}"
@@ -227,7 +227,8 @@ class SACLearner:
         sa = s if a is None else np.concatenate([s, np.asarray(a, dtype=dt)], axis=1)
         qq, cache = self.q.forward(sa)
         err = qq[:, :, 0] - y  # (2, batch)
-        loss = float(np.mean(err[0] ** 2) + np.mean(err[1] ** 2))
+        # add.reduce(x) / n is np.mean(x) bit for bit, without mean's wrapper.
+        loss = float(np.add.reduce(err[0] * err[0]) / batch + np.add.reduce(err[1] * err[1]) / batch)
         grad, _ = self.q.backward(cache, (2.0 / batch) * err[:, :, None], input_cols=None)
         return loss, grad
 
@@ -251,11 +252,11 @@ class SACLearner:
         qq, qc = self.q.forward(sa_new)
         take1 = qq[0, :, 0] <= qq[1, :, 0]
         q_min = np.where(take1, qq[0, :, 0], qq[1, :, 0])
-        loss = float(np.mean(alpha * logp - q_min))
+        loss = float(np.add.reduce(alpha * logp - q_min) / batch)
 
         dq = np.zeros((2, batch, 1), dtype=dt)
-        dq[0, take1, 0] = -1.0 / batch
-        dq[1, ~take1, 0] = -1.0 / batch
+        np.copyto(dq[0, :, 0], -1.0 / batch, where=take1)
+        np.copyto(dq[1, :, 0], -1.0 / batch, where=~take1)
         # Only the action columns of the critics' input gradient are needed.
         _, dx = self.q.backward(qc, dq, params=False, input_cols=slice(self.state_dim, None))
         d_action = dx[0] + dx[1]

@@ -43,6 +43,16 @@ rules that follow:
 - Memory grows with the number of distinct input shapes a net sees: one
   per training pass, plus, in a float64 net, one per row count that acting
   uses (at most one per lockstep evaluation episode).
+
+Fan-out 1. Where a layer has one output unit (the critics' output layer),
+the backward's ``delta @ W^T`` is a ``(batch, 1) @ (1, in)`` product per
+member. numpy's matmul sends such a column-times-row product to its own
+non-BLAS loop, which at the default critic shape takes longer than a full
+hidden-layer gemm. With
+one term per element that loop computes ``0 + d * w``, so the backward
+computes the broadcast product ``d * w`` instead. The two differ only where
+the product is an exact zero, in its sign; every consumer of ``delta`` is a
+matmul whose sums start at +0, so the backward's outputs do not change.
 """
 
 from __future__ import annotations
@@ -167,14 +177,17 @@ class MLP:
             if params:
                 a_in = cache[layer] if layer == 0 else cache[layer][0]
                 # The shared first-layer input is 2-D, hidden activations are 3-D.
-                np.matmul(np.swapaxes(a_in, -1, -2), delta, out=grads[2 * layer])
+                np.matmul(a_in.swapaxes(-1, -2), delta, out=grads[2 * layer])
                 np.matmul(ones, delta, out=grads[2 * layer + 1])  # bias: column sums
             if layer == 0:
                 if input_cols is None:
                     return flat_grad, None
-                return flat_grad, np.matmul(delta, np.swapaxes(w[:, input_cols, :], -1, -2))
+                return flat_grad, np.matmul(delta, w[:, input_cols, :].swapaxes(-1, -2))
             out = self._buffer(("d", layer), (*delta.shape[:-1], w.shape[-2])) if reuse else None
-            delta = np.matmul(delta, np.swapaxes(w, -1, -2), out=out)
+            if w.shape[-1] == 1:  # fan-out 1: see "Fan-out 1" in the module docstring
+                delta = np.multiply(delta, w.swapaxes(-1, -2), out=out)
+            else:
+                delta = np.matmul(delta, w.swapaxes(-1, -2), out=out)
             s = cache[layer][1]
             delta /= s
             delta /= s
@@ -263,19 +276,32 @@ class SquashedGaussianHead:
     def log_std(self, raw: np.ndarray) -> np.ndarray:
         return self.lo + self.half_span * (np.tanh(raw) + 1.0)
 
-    def sample(self, out: np.ndarray, xi: np.ndarray):
-        """Reparameterized draw. Returns (action, log_prob, cache)."""
+    def _squash(self, out: np.ndarray, xi: np.ndarray):
+        """The action a_max * tanh(mu + std * xi) and the (log_std, std, u, t_u, t_raw) behind it."""
         mu, raw = self.split(out)
         t_raw = np.tanh(raw)
         log_std = self.lo + self.half_span * (t_raw + 1.0)
         std = np.exp(log_std)
         u = mu + std * xi
         t_u = np.tanh(u)
-        a = self.a_max * t_u
+        return self.a_max * t_u, (log_std, std, u, t_u, t_raw)
+
+    def action(self, out: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The action of ``sample(out, xi)``, bit for bit, without its log-prob or cache."""
+        return self._squash(out, xi)[0]
+
+    def sample(self, out: np.ndarray, xi: np.ndarray):
+        """Reparameterized draw. Returns (action, log_prob, cache)."""
+        a, (log_std, std, u, t_u, t_raw) = self._squash(out, xi)
         # log pi(a) = log N(u; mu, std) - sum log |da/du|, with
         # log(1 - tanh(u)^2) = 2 (log 2 - u - softplus(-2u)) for stability.
         log_det = 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u)) + math.log(self.a_max)
-        log_prob = np.sum(-0.5 * xi**2 - log_std - 0.5 * LOG_2PI - log_det, axis=1)
+        terms = -0.5 * xi**2 - log_std - 0.5 * LOG_2PI - log_det
+        # Columns added left to right: at act_dim = 2 this is np.sum(terms, axis=1)
+        # bit for bit, without the reduction's per-call cost.
+        log_prob = terms[:, 0]
+        for j in range(1, self.act_dim):
+            log_prob = log_prob + terms[:, j]
         cache = (xi, std, u, t_u, t_raw)
         return a, log_prob, cache
 

@@ -1,4 +1,4 @@
-"""A Monte Carlo estimator of short-horizon state safety and its exact oracle.
+"""A Monte Carlo estimator of short-horizon state safety.
 
 The safety of a state is the probability, under a given policy, that a
 rollout of at most ``k`` steps avoids hazardous termination. Lava counts as
@@ -20,10 +20,9 @@ ones included, so the forces at step j do not depend on ``k``. Estimates are
 therefore reproducible per seed and per list of states, and rollouts at
 horizon k+1 extend those at k.
 
-``brute_force_safety`` enumerates a force lattice exactly through the scalar
-``LavaBridgeEnv.step``; it is the oracle the estimator is tested against.
-
-All estimators leave the caller's environment state untouched.
+``estimate_safety`` and ``safety_field`` leave the caller's environment state
+untouched. The tests check the estimator against an exact enumeration of a
+force lattice (``tests/safety_oracle.py``).
 """
 
 from __future__ import annotations
@@ -32,20 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Cause, LavaBridgeEnv
+from .env import LavaBridgeEnv
 
 __all__ = [
     "SafetyEstimate",
-    "action_grid",
     "uniform_random_policy",
     "estimate_safety",
-    "brute_force_safety",
     "safety_field",
     "save_safety_field_csv",
 ]
-
-# Cost guard for brute-force enumeration: (grid^2)^k action sequences.
-_MAX_ENUMERATION = 10_000_000
 
 # Most rollout rows stepped as one array; bounds the estimator's memory.
 _BLOCK_ROWS = 2048
@@ -72,20 +66,6 @@ def uniform_random_policy(f_max: float):
         return rng.uniform(-f_max, f_max, size=(len(states), 2))
 
     return policy
-
-
-def action_grid(grid: int, f_max: float) -> np.ndarray:
-    """grid x grid uniform lattice of cell centers over the force box, ``(grid**2, 2)``.
-
-    Rows run over fx, then fy within each fx. Cell centers (midpoint rule)
-    rather than corner-inclusive spacing, so the equal-weight enumeration
-    over the lattice is an unbiased quadrature of the uniform-continuous
-    policy it stands in for.
-    """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    axis = (2.0 * np.arange(grid) + 1.0 - grid) / grid * f_max
-    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _is_terminal(env: LavaBridgeEnv, state) -> bool:
@@ -142,58 +122,6 @@ def estimate_safety(
                 break
         unsafe_counts[b:b + per_block] = unsafe.reshape(-1, n).sum(axis=1)
     return SafetyEstimate(value=(n - unsafe_counts) / n, n_rollouts=n, k=k)
-
-
-def brute_force_safety(
-    env: LavaBridgeEnv,
-    state,
-    k: int,
-    grid: int,
-    *,
-    goal_unsafe: bool = False,
-) -> float:
-    """Exact safety of one ``(4,)`` state for the uniform action-grid policy, by depth-first search.
-
-    Enumerates all (grid^2)^k action sequences over the lattice, sharing
-    common prefixes and pruning subtrees below terminal states, so it is an
-    independent oracle for the rollout-based estimator. Rejects enumerations
-    beyond the cost guard.
-    """
-    if k < 1:
-        raise ValueError("safety horizon k must be >= 1")
-    if _is_terminal(env, state):
-        raise ValueError("safety is undefined for terminal states")
-    actions = action_grid(grid, env.f_max).tolist()
-    n_actions = len(actions)
-    if n_actions**k > _MAX_ENUMERATION:
-        raise ValueError(f"enumeration of {n_actions**k} sequences exceeds the cost guard")
-
-    snap = env.snapshot()
-
-    def count_safe(depth: int) -> int:
-        remaining = n_actions ** (k - depth - 1)
-        safe = 0
-        for action in actions:
-            node = env.snapshot()
-            res = env.step(action)
-            if res.cause is Cause.LAVA:
-                pass  # whole subtree unsafe
-            elif res.terminated:
-                # goal or timeout: absorbing, every completion shares its fate
-                safe += 0 if (res.cause is Cause.GOAL and goal_unsafe) else remaining
-            elif depth + 1 == k:
-                safe += 1
-            else:
-                safe += count_safe(depth + 1)
-            env.restore(node)
-        return safe
-
-    try:
-        env.reset_to(state)
-        total_safe = count_safe(0)
-    finally:
-        env.restore(snap)
-    return total_safe / n_actions**k
 
 
 def safety_field(

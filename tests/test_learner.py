@@ -52,6 +52,19 @@ class TestAct:
         b = learner.act(s, True, rng=np.random.default_rng(42))
         assert a == b
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_stochastic_act_equals_sample_path(self, dtype):
+        # act draws its action through head.action, without a log-prob; the
+        # forces and the noise stream must be those of the full head.sample.
+        learner = mk_learner(seed=5, dtype=dtype)
+        states = np.random.default_rng(6).uniform(-2, 10, (20, 4))
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for s in states:
+            out = learner.policy.forward(s[None, :])[0][0]
+            a, _, _ = learner.head.sample(out, ref.standard_normal((1, 2)))
+            assert learner.act(s, True, rng) == (float(a[0, 0]), float(a[0, 1]))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_divergence_detected(self):
         learner = mk_learner(seed=4)
         learner.policy.params[0][0, 0] = float("nan")
@@ -74,6 +87,40 @@ class TestActBatch:
         assert forces.shape == (n, 2)
         for s, f in zip(states, forces):
             assert learner.act(s, stochastic=False) == (f[0], f[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_reduce_over_n_equals_np_mean_bitwise(dtype):
+    # The losses and the entropy are np.add.reduce(x) / n, which must be
+    # np.mean(x) bit for bit, scalar type included.
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 7, 8, 9, 100, 255, 256, 512, 1000, 4097):
+        for scale in (1e-30, 1.0, 1e6):
+            x = (scale * rng.standard_normal(n)).astype(dtype)
+            got, want = np.add.reduce(x) / n, np.mean(x)
+            assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_losses_equal_np_mean_forms(dtype):
+    learner = mk_learner(seed=31, dtype=dtype, batch_size=16, buffer_capacity=64)
+    dt = learner.dtype
+    rng = np.random.default_rng(32)
+    s = rng.uniform(-2, 10, (16, 4)).astype(dt)
+    a = rng.uniform(-1, 1, (16, 2)).astype(dt)
+    y = rng.standard_normal(16).astype(dt)
+    xi = rng.standard_normal((16, 2)).astype(dt)
+
+    err = learner.q.forward(np.concatenate([s, a], axis=1))[0][:, :, 0] - y
+    critic_want = float(np.mean(err[0] ** 2) + np.mean(err[1] ** 2))
+    out, _ = learner.policy.forward(s)
+    a_new, logp, _ = learner.head.sample(out[0], xi)
+    qq, _ = learner.q.forward(np.concatenate([s, a_new], axis=1))
+    q_min = np.where(qq[0, :, 0] <= qq[1, :, 0], qq[0, :, 0], qq[1, :, 0])
+    policy_want = float(np.mean(learner.cfg.alpha * logp - q_min))
+
+    assert learner.critic_loss_and_grads(s, a, y)[0] == critic_want
+    assert learner.policy_loss_and_grads(s, xi)[0] == policy_want
 
 
 class TestUpdateStep:

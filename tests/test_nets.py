@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from lavabridge.learner import LearnerConfig, SACLearner
-from lavabridge.nets import MLP, Adam, SquashedGaussianHead, ema_update
+from lavabridge.nets import LOG_2PI, MLP, Adam, SquashedGaussianHead, ema_update
 
 H = 1e-5       # central-difference step
 TOL = 1e-4     # max relative error
@@ -137,6 +139,55 @@ def test_two_members_match_two_single_nets_bitwise(dtype):
             assert np.array_equal(g1, g2)
 
 
+def matmul_backward(net, cache, dout, params, input_cols):
+    """``MLP.backward`` with every ``delta @ W^T`` as ``np.matmul``, fan-out 1 included."""
+    flat_grad = np.empty_like(net.flat) if params else None
+    grads = net._views(flat_grad) if params else None
+    ones = np.ones((1, dout.shape[1]), dtype=net.dtype)
+    delta = dout
+    for layer in range(net.n_layers - 1, -1, -1):
+        w = net.params[2 * layer]
+        if params:
+            a_in = cache[layer] if layer == 0 else cache[layer][0]
+            grads[2 * layer][...] = np.matmul(np.swapaxes(a_in, -1, -2), delta)
+            grads[2 * layer + 1][...] = np.matmul(ones, delta)
+        if layer == 0:
+            if input_cols is None:
+                return flat_grad, None
+            return flat_grad, np.matmul(delta, np.swapaxes(w[:, input_cols, :], -1, -2))
+        s = cache[layer][1]
+        delta = np.matmul(delta, np.swapaxes(w, -1, -2)) / s / s / s
+
+
+def bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("input_cols", [None, slice(4, None), slice(None)],
+                         ids=["no-dx", "action-cols", "all-cols"])
+@pytest.mark.parametrize("params", [True, False])
+@pytest.mark.parametrize("members", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fan_out_one_backward_equals_matmul_bitwise(dtype, members, params, input_cols):
+    # A fan-out-1 layer's delta @ W^T is a broadcast product in the backward;
+    # its exact zeros may carry the other sign, and no output may change.
+    # (6, 5, 1, 1) also has a hidden layer of width 1, so two such products
+    # follow each other.
+    rng = np.random.default_rng(21)
+    for sizes in ((6, 8, 8, 1), (6, 5, 1, 1)):
+        net = MLP(sizes, rng, dtype=dtype, members=members)
+        x = rng.standard_normal((32, 6)).astype(dtype)
+        _, cache = net.forward(x)
+        # Exact zeros, as in the policy loss's one-hot dq: each product with a
+        # negative weight is -0 where matmul's sum gives +0.
+        dout = rng.standard_normal((members, 32, 1)).astype(dtype)
+        dout[:, ::3] = 0.0
+        want = matmul_backward(net, cache, dout, params, input_cols)
+        got = net.backward(cache, dout, params=params, input_cols=input_cols)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+
+
 class TestAdamAndTargets:
     def test_adam_first_step_is_scaled_lr(self):
         # With fresh moments the first step is lr-sized regardless of gradient scale.
@@ -189,6 +240,32 @@ class TestSquashedHead:
         naive = (-0.5 * 0.7**2 - log_std - 0.5 * np.log(2 * np.pi)
                  - np.log(1.0 - np.tanh(u) ** 2))
         assert abs(logp[0] - naive) < 1e-10
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_action_equals_sample_action_bitwise(self, dtype):
+        head = SquashedGaussianHead(2, 2.0, -3.0, 1.0)
+        rng = np.random.default_rng(22)
+        for rows in (1, 7, 512):
+            out = (3.0 * rng.standard_normal((rows, 4))).astype(dtype)
+            xi = rng.standard_normal((rows, 2)).astype(dtype)
+            assert bits(head.action(out, xi)) == bits(head.sample(out, xi)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_prob_column_sum_equals_np_sum_bitwise(self, dtype):
+        # sample() adds the log-prob terms' columns in order; at act_dim = 2
+        # that is np.sum(axis=1), which this recomputes the old way.
+        head = SquashedGaussianHead(2, 2.0, -3.0, 1.0)
+        rng = np.random.default_rng(23)
+        out = (3.0 * rng.standard_normal((512, 4))).astype(dtype)
+        xi = rng.standard_normal((512, 2)).astype(dtype)
+        _, logp, _ = head.sample(out, xi)
+        mu, raw = head.split(out)
+        log_std = head.lo + head.half_span * (np.tanh(raw) + 1.0)
+        u = mu + np.exp(log_std) * xi
+        log_det = 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u)) + math.log(head.a_max)
+        want = np.sum(-0.5 * xi**2 - log_std - 0.5 * LOG_2PI - log_det, axis=1)
+        assert bits(logp) == bits(want)
 
 
 def make_learner(hidden=(8, 8), alpha=0.2, seed=3):

@@ -8,13 +8,12 @@ from lavabridge.env import InvalidResetError, LavaBridgeEnv, Vec2, WorldGeometry
 from lavabridge import safety as safety_mod
 from lavabridge.safety import (
     SafetyEstimate,
-    action_grid,
-    brute_force_safety,
     estimate_safety,
     safety_field,
     save_safety_field_csv,
     uniform_random_policy,
 )
+from safety_oracle import action_grid, brute_force_safety
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):

@@ -294,7 +294,7 @@ class TestOmegaWeights:
         # (5, 4.7) at full downward speed cannot brake out of the lava strip
         # within 4 steps for any action sequence, so omega-hat is exactly 0 and
         # the weight hits the 1/epsilon cap.
-        from lavabridge.safety import brute_force_safety
+        from safety_oracle import brute_force_safety
 
         env = LavaBridgeEnv()
         doomed = mk_state(5.0, 4.7, 0.0, -2.0)
