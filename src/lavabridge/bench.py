@@ -183,7 +183,8 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
     Start states come from the configured method; time advances by realized
     episode lengths. When ``out_dir`` is given, writes metrics.csv,
     checkpoint.npz, config.txt (the effective config) and, for sampler
-    methods, sampler_weights.csv into it.
+    methods, sampler_weights.csv into it. A demo archive state that is not a
+    valid reset target raises ``InvalidResetError`` before anything is written.
     """
     env = cfg.env.build(cfg.horizon)
     eval_env = cfg.env.build(cfg.horizon)
@@ -199,6 +200,8 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResu
             goal_reward=cfg.env.goal_reward,
         )
         demo_all = archive.demo_states()
+        # Every demo state is a future reset target; reject a bad one before any run starts.
+        env.check_states(demo_all.states)
         if cfg.method in SAMPLER_METHODS:
             demo_sub = subsample_states(archive, cfg.demo_subset, seed)
 

@@ -19,6 +19,7 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "StepResult",
     "Vec2",
     "WorldGeometry",
+    "state_rows",
 ]
 
 
@@ -128,6 +130,27 @@ class WorldGeometry:
         dx, dy = x - self.goal_center.x, y - self.goal_center.y
         return math.sqrt(dx * dx + dy * dy) <= self.goal_radius
 
+    @cached_property
+    def _lava_bounds(self) -> np.ndarray:
+        """``(4, R, 1)``: the xmin, xmax, ymin and ymax of each lava rectangle."""
+        return np.array([[r.xmin, r.xmax, r.ymin, r.ymax] for r in self.lava]).T.reshape(4, -1, 1)
+
+    def terminal_masks(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of ``in_lava`` and ``in_goal`` over the positions ``(px[i], py[i])``.
+
+        Returns two bool arrays: in lava (the rectangles are closed), and in
+        the goal disc but not in lava, since lava wins where they overlap.
+        Each element makes the scalar tests' comparisons on the same
+        ``sqrt(dx * dx + dy * dy)``, so the masks agree with them exactly.
+        """
+        xmin, xmax, ymin, ymax = self._lava_bounds
+        lava = ((px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)).any(axis=0)
+        dx = px - self.goal_center.x
+        dy = py - self.goal_center.y
+        goal = np.sqrt(dx * dx + dy * dy) <= self.goal_radius
+        goal &= ~lava
+        return lava, goal
+
     def validate(self) -> None:
         w = self.world
         if not (w.xmin < w.xmax and w.ymin < w.ymax):
@@ -159,6 +182,24 @@ class StepResult:
     reward: float
     terminated: bool
     cause: Cause
+
+
+def state_rows(states) -> np.ndarray:
+    """``states`` as an ``(S, 4)`` float64 array of ``[px, py, vx, vy]`` rows.
+
+    An empty sequence gives ``(0, 4)``. Anything else that is not ``(S, 4)``
+    raises ``InvalidResetError`` naming its shape, so a lone ``(4,)`` state or
+    an ``(8,)`` array is never read as rows.
+    """
+    try:
+        rows = np.asarray(states, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidResetError("reset states are not an array of numbers") from None
+    if rows.shape == (0,):
+        return rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise InvalidResetError(f"reset states have shape {rows.shape}, expected (S, 4)")
+    return rows
 
 
 # Cap on rejection resampling in sample_start before falling back to the
@@ -240,9 +281,8 @@ class LavaBridgeEnv:
 
         ``state`` is any 4-vector ``[px, py, vx, vy]``; its entries are stored
         as Python floats, so ``env.state`` equals it bit for bit. Rejects
-        states that are malformed (not four numbers), non-finite, outside the
-        world bounds, inside lava, or faster than ``v_max``. Returns
-        ``env.state``.
+        states that are malformed (not four numbers) and those that
+        ``check_states`` rejects. Returns ``env.state``.
         """
         try:
             row = np.asarray(state, dtype=np.float64)
@@ -250,20 +290,42 @@ class LavaBridgeEnv:
             raise InvalidResetError(f"reset state {state!r} is not a 4-vector of numbers") from None
         if row.shape != (4,):
             raise InvalidResetError(f"reset state has shape {row.shape}, expected (4,)")
-        px, py, vx, vy = row.tolist()
-        if not all(map(math.isfinite, (px, py, vx, vy))):
-            raise InvalidResetError("reset state has non-finite components")
-        if not self.geometry.world.contains(px, py):
-            raise InvalidResetError(f"reset position ({px}, {py}) outside world bounds")
-        if self.geometry.in_lava(px, py):
-            raise InvalidResetError(f"reset position ({px}, {py}) is inside lava")
-        speed = math.sqrt(vx * vx + vy * vy)
-        if speed > self.v_max * (1.0 + 1e-12):
-            raise InvalidResetError(f"reset speed {speed:.3f} exceeds v_max")
-        self._px, self._py, self._vx, self._vy = px, py, vx, vy
+        self.check_states(row[None])
+        self._px, self._py, self._vx, self._vy = row.tolist()
         self._steps = 0
         self._terminated = False
         return self.state
+
+    def check_states(self, states) -> np.ndarray:
+        """``states`` as an ``(S, 4)`` float64 array (see ``state_rows``) of valid reset targets.
+
+        A row is valid when it is finite, inside the world bounds, not in lava
+        and at most ``v_max`` fast, with a relative tolerance of 1e-12; the
+        rules are tried in that order. Raises ``InvalidResetError`` for the
+        first invalid row, naming the first rule it breaks. ``reset_to``
+        checks its state here, so these rules have no other implementation.
+        """
+        rows = state_rows(states)
+        px, py, vx, vy = rows.T
+        world = self.geometry.world
+        # Huge finite entries may square to inf, as Python floats do silently.
+        with np.errstate(over="ignore"):
+            lava, _ = self.geometry.terminal_masks(px, py)
+            speed = np.sqrt(vx * vx + vy * vy)
+        inside = (px >= world.xmin) & (px <= world.xmax) & (py >= world.ymin) & (py <= world.ymax)
+        # NaN fails every comparison, so a non-finite row is caught here too.
+        bad = lava | ~(inside & (speed <= self.v_max * (1.0 + 1e-12)))
+        if not bad.any():
+            return rows
+        i = int(bad.argmax())
+        x, y = rows[i, :2].tolist()
+        if not np.isfinite(rows[i]).all():
+            raise InvalidResetError("reset state has non-finite components")
+        if not inside[i]:
+            raise InvalidResetError(f"reset position ({x}, {y}) outside world bounds")
+        if lava[i]:
+            raise InvalidResetError(f"reset position ({x}, {y}) is inside lava")
+        raise InvalidResetError(f"reset speed {speed[i]:.3f} exceeds v_max")
 
     def sample_start(self, which: str, rng: np.random.Generator) -> np.ndarray:
         """Draw a start state from ``"p0"`` (task distribution) or ``"ood"``.
@@ -352,48 +414,57 @@ class LavaBridgeEnv:
         """Step N independent rows at once; row i equals ``reset_to`` + ``step``.
 
         ``states`` is ``(N, 4)`` ``[px, py, vx, vy]`` and ``forces`` is
-        ``(N, 2)``. Returns the next states ``(N, 4)`` and two ``(N,)`` bool
-        masks: landed in lava, and landed in the goal disc (never both, since
-        lava is tested first). Each row matches the scalar ``step`` bit for
-        bit, because both paths run the same correctly rounded IEEE-754
-        operations in the same order; the norms are ``sqrt(x * x + y * y)``
-        on both, and neither Python nor separate numpy ufuncs fuse them into
-        an FMA. Rows are reachable states (finite, within the world, at most
-        ``v_max`` fast), so the squares cannot overflow. This is a pure
-        function of its arguments: the env's own state, step counter and
-        termination flag are untouched, and timeouts are left to the caller.
+        ``(N, 2)``. Returns the next states and two ``(N,)`` bool masks:
+        landed in lava, and landed in the goal disc (never both, since lava
+        wins; see ``WorldGeometry.terminal_masks``). The next states are a new
+        ``(N, 4)`` array laid out column by column (Fortran order), so each
+        of its columns is contiguous; fed back in, it steps without a copy.
+
+        Each row matches the scalar ``step`` bit for bit, because both paths
+        run the same correctly rounded IEEE-754 operations in the same order;
+        the norms are ``sqrt(x * x + y * y)`` on both, and neither Python nor
+        separate numpy ufuncs fuse them into an FMA. The speed clip and the
+        wall clamps touch only the rows that take them; on the others
+        ``step`` leaves the values alone too. Rows are reachable states
+        (finite, within the world, at most ``v_max`` fast), so the squares
+        cannot overflow. This is a pure function of its arguments: the env's
+        own state, step counter and termination flag are untouched, and
+        timeouts are left to the caller.
         """
         s = np.asarray(states, dtype=np.float64)
         f = np.asarray(forces, dtype=np.float64)
-        fx = np.clip(f[:, 0], -self.f_max, self.f_max)
-        fy = np.clip(f[:, 1], -self.f_max, self.f_max)
-
         dt = self.dt
-        drag = self.drag
-        vx = s[:, 2] + (fx - drag * s[:, 2]) * dt
-        vy = s[:, 3] + (fy - drag * s[:, 3]) * dt
-        speed = np.sqrt(vx * vx + vy * vy)
-        over = speed > self.v_max
-        scale = np.divide(self.v_max, speed, out=np.ones_like(speed), where=over)
-        vx = vx * scale
-        vy = vy * scale
-        px = s[:, 0] + vx * dt
-        py = s[:, 1] + vy * dt
+        out = np.empty((4, len(s))).T
+        px, py, vx, vy = out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+        # Actuator saturation, as step clamps each component.
+        f = np.maximum(f, -self.f_max)
+        np.minimum(f, self.f_max, out=f)
+        for v, v0, fv in ((vx, s[:, 2], f[:, 0]), (vy, s[:, 3], f[:, 1])):
+            np.multiply(v0, self.drag, out=v)
+            np.subtract(fv, v, out=v)
+            v *= dt
+            v += v0  # v0 + (f - drag * v0) * dt
+        speed = vx * vx
+        speed += vy * vy
+        np.sqrt(speed, out=speed)
+        over = np.flatnonzero(speed > self.v_max)
+        if len(over):
+            scale = self.v_max / speed[over]
+            vx[over] *= scale
+            vy[over] *= scale
 
         world = self.geometry.world
-        lo, hi = px < world.xmin, px > world.xmax
-        px = np.where(lo, world.xmin, np.where(hi, world.xmax, px))
-        vx = np.where(lo | hi, 0.0, vx)
-        lo, hi = py < world.ymin, py > world.ymax
-        py = np.where(lo, world.ymin, np.where(hi, world.ymax, py))
-        vy = np.where(lo | hi, 0.0, vy)
+        for p, v, p0, lo, hi in ((px, vx, s[:, 0], world.xmin, world.xmax),
+                                 (py, vy, s[:, 1], world.ymin, world.ymax)):
+            np.multiply(v, dt, out=p)
+            p += p0
+            for bound, hit in ((lo, p < lo), (hi, p > hi)):
+                if hit.any():
+                    p[hit] = bound
+                    v[hit] = 0.0
 
-        lava = np.zeros(len(s), dtype=bool)
-        for rect in self.geometry.lava:
-            lava |= (rect.xmin <= px) & (px <= rect.xmax) & (rect.ymin <= py) & (py <= rect.ymax)
-        dx, dy = px - self.geometry.goal_center.x, py - self.geometry.goal_center.y
-        goal = ~lava & (np.sqrt(dx * dx + dy * dy) <= self.geometry.goal_radius)
-        return np.stack([px, py, vx, vy], axis=1), lava, goal
+        lava, goal = self.geometry.terminal_masks(px, py)
+        return out, lava, goal
 
     def is_terminal(self, state: State) -> Cause:
         """State-based termination indicator; timeout is counter-based, never here.

@@ -9,20 +9,26 @@ step within the window is equivalent to evaluating the terminal indicator at
 the window's final state.
 
 ``estimate_safety`` takes states as an ``(S, 4)`` array of ``[px, py, vx,
-vy]`` rows and rolls out all ``n`` rollouts of every state as rows of one
-array, stepped by ``LavaBridgeEnv.step_batch``. A policy is a callable
-``policy(states (B, 4), rng) -> forces (B, 2)``. Random streams: the rows are
-cut into blocks of whole states, at most ``_BLOCK_ROWS`` rows each (at least
-one state), and each block draws from its own ``rng.spawn(1)[0]``, spawned in
-block order. At every step of the window, until all of its rows
-have finished, the block calls ``policy`` once on all of its rows, finished
-ones included, so the forces at step j do not depend on ``k``. Estimates are
-therefore reproducible per seed and per list of states, and rollouts at
-horizon k+1 extend those at k.
+vy]`` rows. One array pass checks them all before any rollout and raises for
+the first bad row: ``ValueError`` if it is terminal
+(``WorldGeometry.terminal_masks``), or the ``InvalidResetError`` that
+``reset_to`` would raise for it (``LavaBridgeEnv.check_states``). It then
+rolls out all ``n`` rollouts of every state as rows of one array, stepped by
+``LavaBridgeEnv.step_batch``. A policy is a callable ``policy(states (B, 4),
+rng) -> forces (B, 2)``. Random streams: the rows are cut into blocks of
+whole states, at most ``_BLOCK_ROWS`` rows each (at least one state), and
+each block draws from its own ``rng.spawn(1)[0]``, spawned in block order.
+At every step of the window, until all of its rows have finished, the block
+calls ``policy`` once on all of its rows, finished ones included, so the
+forces at step j do not depend on ``k``. Estimates are therefore
+reproducible per seed and per list of states, and rollouts at horizon k+1
+extend those at k.
 
-``estimate_safety`` and ``safety_field`` leave the caller's environment state
+``estimate_safety`` and ``safety_field`` never reset or step the caller's
+environment: they read only its geometry and constants, so its state is left
 untouched. The tests check the estimator against an exact enumeration of a
-force lattice (``tests/safety_oracle.py``).
+force lattice, and its validation against the per-state loop it replaced
+(both in ``tests/safety_oracle.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import LavaBridgeEnv
+from .env import LavaBridgeEnv, state_rows
 
 __all__ = [
     "SafetyEstimate",
@@ -68,11 +74,6 @@ def uniform_random_policy(f_max: float):
     return policy
 
 
-def _is_terminal(env: LavaBridgeEnv, state) -> bool:
-    px, py = float(state[0]), float(state[1])
-    return env.geometry.in_lava(px, py) or env.geometry.in_goal(px, py)
-
-
 def estimate_safety(
     env: LavaBridgeEnv,
     states,
@@ -85,10 +86,12 @@ def estimate_safety(
 ) -> SafetyEstimate:
     """Monte Carlo safety of each ``(4,)`` row of ``states`` from ``n`` independent k-step rollouts.
 
-    Every state is validated before any rollout: a terminal state raises
-    ``ValueError`` and one ``reset_to`` rejects raises ``InvalidResetError``.
-    A timeout inside the window counts as safe. See the module docstring for
-    the blocks and random streams.
+    ``states`` must be ``(S, 4)``; an empty sequence gives an empty estimate.
+    Every state is validated before any rollout, in order: the first terminal
+    state raises ``ValueError``, unless an earlier one is a state ``reset_to``
+    rejects, which raises its ``InvalidResetError``. A timeout inside the
+    window counts as safe. See the module docstring for the blocks and random
+    streams.
     """
     if k < 1:
         raise ValueError("safety horizon k must be >= 1")
@@ -96,15 +99,14 @@ def estimate_safety(
         raise ValueError("rollout count n must be >= 1")
     if rng is None:
         raise ValueError("Monte Carlo estimation needs an rng")
-    snap = env.snapshot()
-    try:
-        for state in states:
-            if _is_terminal(env, state):
-                raise ValueError("safety is undefined for terminal states")
-            env.reset_to(state)
-    finally:
-        env.restore(snap)
-    start = np.asarray(states, dtype=np.float64).reshape(-1, 4)
+    start = state_rows(states)
+    with np.errstate(over="ignore"):  # unchecked rows may square to inf
+        lava, goal = env.geometry.terminal_masks(start[:, 0], start[:, 1])
+    ended = lava | goal
+    n_open = int(ended.argmax()) if ended.any() else len(start)
+    env.check_states(start[:n_open])
+    if n_open < len(start):
+        raise ValueError("safety is undefined for terminal states")
     steps = min(k, env.horizon)
     per_block = max(1, _BLOCK_ROWS // n)
     unsafe_counts = np.zeros(len(start), dtype=np.int64)
@@ -116,8 +118,9 @@ def estimate_safety(
         for _ in range(steps):
             # Finished rows keep stepping; the alive mask discards their outcomes.
             x, lava, goal = env.step_batch(x, policy(x, block_rng))
-            unsafe |= alive & (lava | (goal & goal_unsafe))
-            alive &= ~(lava | goal)
+            ended = lava | goal
+            unsafe |= alive & (ended if goal_unsafe else lava)
+            alive &= ~ended
             if not alive.any():
                 break
         unsafe_counts[b:b + per_block] = unsafe.reshape(-1, n).sum(axis=1)
@@ -147,11 +150,11 @@ def safety_field(
     cells = np.zeros((nx * ny, 4))
     cells[:, 0] = np.tile(np.linspace(geo.world.xmin, geo.world.xmax, nx), ny)
     cells[:, 1] = np.repeat(np.linspace(geo.world.ymin, geo.world.ymax, ny), nx)
-    xy = cells[:, :2].tolist()
-    fixed = [0.0 if geo.in_lava(x, y) else 1.0 if geo.in_goal(x, y) else None for x, y in xy]
-    open_cells = [i for i, f in enumerate(fixed) if f is None]
-    estimates = iter(estimate_safety(env, cells[open_cells], policy, k, n, rng).value.tolist())
-    return [(x, y, next(estimates) if f is None else f) for (x, y), f in zip(xy, fixed)]
+    lava, goal = geo.terminal_masks(cells[:, 0], cells[:, 1])
+    open_cells = ~(lava | goal)
+    omega = np.where(lava, 0.0, 1.0)
+    omega[open_cells] = estimate_safety(env, cells[open_cells], policy, k, n, rng).value
+    return list(zip(cells[:, 0].tolist(), cells[:, 1].tolist(), omega.tolist()))
 
 
 def save_safety_field_csv(path, rows) -> None:

@@ -1,14 +1,19 @@
-"""Exact safety by enumeration: the oracle ``estimate_safety`` is tested against.
+"""Oracles ``estimate_safety`` is tested against: exact safety and scalar validation.
 
 ``brute_force_safety`` enumerates a force lattice exactly through the scalar
 ``LavaBridgeEnv.step``, so it shares no code with the batched estimator.
+``validate_states_loop`` is the estimator's former per-state check of its
+input, over ``scalar_reset_check``, a scalar copy of the reset rules that
+``LavaBridgeEnv.check_states`` now applies as array work.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from lavabridge.env import Cause, LavaBridgeEnv
+from lavabridge.env import Cause, InvalidResetError, LavaBridgeEnv
 
 # Cost guard for brute-force enumeration: (grid^2)^k action sequences.
 _MAX_ENUMERATION = 10_000_000
@@ -78,3 +83,47 @@ def brute_force_safety(
     finally:
         env.restore(snap)
     return total_safe / n_actions**k
+
+
+def scalar_reset_check(env: LavaBridgeEnv, state) -> None:
+    """The reset rules as scalar Python: ``reset_to``'s checks before they became array work.
+
+    Raises ``InvalidResetError`` with ``reset_to``'s message for the first
+    rule ``state`` breaks: four numbers, finite, inside the world, not in
+    lava, at most ``v_max`` fast.
+    """
+    try:
+        row = np.asarray(state, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidResetError(f"reset state {state!r} is not a 4-vector of numbers") from None
+    if row.shape != (4,):
+        raise InvalidResetError(f"reset state has shape {row.shape}, expected (4,)")
+    px, py, vx, vy = row.tolist()
+    if not all(map(math.isfinite, (px, py, vx, vy))):
+        raise InvalidResetError("reset state has non-finite components")
+    if not env.geometry.world.contains(px, py):
+        raise InvalidResetError(f"reset position ({px}, {py}) outside world bounds")
+    if env.geometry.in_lava(px, py):
+        raise InvalidResetError(f"reset position ({px}, {py}) is inside lava")
+    speed = math.sqrt(vx * vx + vy * vy)
+    if speed > env.v_max * (1.0 + 1e-12):
+        raise InvalidResetError(f"reset speed {speed:.3f} exceeds v_max")
+
+
+def validate_states_loop(env: LavaBridgeEnv, states) -> None:
+    """The per-state validation ``estimate_safety`` ran before its array check.
+
+    Row by row: a terminal position (lava or goal disc, by the scalar
+    geometry tests) raises ``ValueError``; then a state that the scalar reset
+    rules reject raises their ``InvalidResetError``. Leaves the env's state
+    untouched.
+    """
+    snap = env.snapshot()
+    try:
+        for state in states:
+            px, py = float(state[0]), float(state[1])
+            if env.geometry.in_lava(px, py) or env.geometry.in_goal(px, py):
+                raise ValueError("safety is undefined for terminal states")
+            scalar_reset_check(env, state)
+    finally:
+        env.restore(snap)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lavabridge.bench import (
 )
 from lavabridge.config import RunConfig, config_from_mapping
 from lavabridge.demos import save_archive, scripted_expert
-from lavabridge.env import Cause, LavaBridgeEnv
+from lavabridge.env import Cause, InvalidResetError, LavaBridgeEnv
 from lavabridge.learner import LearnerConfig, SACLearner
 from lavabridge.samplers import SamplerConfig
 
@@ -202,6 +203,22 @@ class TestRunTraining:
         cfg = tiny_config("auxss", archive_path, env=EnvSettings(goal_radius=0.3))
         with pytest.raises(ArchiveFormatError, match="geometry"):
             run_training(cfg)
+
+    @pytest.mark.parametrize("method", ["auxss", "hysac", "jsrl"])
+    def test_bad_archive_state_rejected_before_the_run(self, tmp_path, demo_archive, method):
+        # One demo state moved into lava, geometry stamp intact: the run stops
+        # at set-up, before a sampler could pick it or the replay buffer copy it.
+        first = demo_archive.trajectories[0]
+        states = first.states.copy()
+        states[3, :2] = (5.0, 2.0)
+        moved = replace(demo_archive, trajectories=(replace(first, states=states),
+                                                    *demo_archive.trajectories[1:]))
+        path = tmp_path / "demos.csv"
+        save_archive(moved, path)
+        cfg = tiny_config(method, path)
+        with pytest.raises(InvalidResetError, match=r"reset position \(5.0, 2.0\) is inside lava"):
+            run_training(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_demo_subset_larger_than_archive_rejected(self, archive_path):
         cfg = tiny_config("auxss", archive_path, demo_subset=401)

@@ -431,3 +431,79 @@ class TestGeometry:
         assert a.geometry_hash() == b.geometry_hash()
         assert a.geometry_hash() != c.geometry_hash()
         assert a.geometry_hash() != d.geometry_hash()
+
+
+class TestStepBatchChained:
+    def test_six_chained_steps_equal_scalar_steps_bitwise(self, env):
+        # step_batch fed its own output, as the safety estimator chains it.
+        # Rows start at v_max near the walls and anywhere, under forces beyond
+        # f_max, so later steps too take the wall clamps and the speed clip.
+        # Each row is compared while its scalar episode runs, including the
+        # step that ends it.
+        rng = np.random.default_rng(3)
+        n = 3000
+        px = np.where(np.arange(n) % 3 == 0, rng.choice([0.0, 0.2, 9.8, 10.0], n), rng.uniform(0, 10, n))
+        py = np.where(np.arange(n) % 3 == 1, rng.choice([0.0, 0.2, 9.8, 10.0], n), rng.uniform(0, 10, n))
+        angle = rng.uniform(0, 2 * np.pi, n)
+        speed = np.where(np.arange(n) % 2 == 0, env.v_max, rng.uniform(0, env.v_max, n))
+        rows = np.stack([px, py, speed * np.cos(angle), speed * np.sin(angle)], axis=1)
+        rows = rows[[not (env.geometry.in_lava(x, y) or env.geometry.in_goal(x, y))
+                     for x, y in rows[:, :2]]]
+        forces = rng.uniform(-2.5, 2.5, (6, len(rows), 2))
+
+        batch = [rows]
+        masks = []
+        for j in range(6):
+            nxt, lava, goal = env.step_batch(batch[-1], forces[j])
+            batch.append(nxt)
+            masks.append((lava, goal))
+        clipped = walled = 0
+        probe = LavaBridgeEnv(env.geometry, horizon=env.horizon)
+        for i, row in enumerate(rows):
+            probe.reset_to(row)
+            for j in range(6):
+                prev = probe.state
+                res = probe.step(forces[j, i].tolist())
+                assert bits(batch[j + 1][i]).tolist() == bits(probe.state).tolist()
+                lava, goal = masks[j]
+                assert (bool(lava[i]), bool(goal[i])) == (res.cause is Cause.LAVA, res.cause is Cause.GOAL)
+                if j > 0:
+                    f = np.clip(forces[j, i], -env.f_max, env.f_max)
+                    v = prev[2:] + (f - env.drag * prev[2:]) * env.dt
+                    clipped += math.sqrt(v[0] * v[0] + v[1] * v[1]) > env.v_max
+                    walled += bool(np.isin(probe.state[:2], (0.0, 10.0)).any() and 0.0 in probe.state[2:])
+                if res.terminated:
+                    break
+        assert clipped > 100 and walled > 100
+
+    def test_next_states_are_column_major(self, env):
+        rows = np.array([[1.0, 2.0, 0.5, 0.0], [3.0, 7.0, 0.0, -1.0]])
+        nxt, _, _ = env.step_batch(rows, np.zeros((2, 2)))
+        assert nxt.shape == (2, 4) and nxt.flags.f_contiguous
+        again, _, _ = env.step_batch(nxt, np.zeros((2, 2)))
+        assert again.tobytes() == env.step_batch(np.ascontiguousarray(nxt), np.zeros((2, 2)))[0].tobytes()
+
+
+class TestTerminalMasks:
+    @pytest.mark.parametrize("goal_center", [Vec2(9.0, 5.0), Vec2(6.2, 4.4)], ids=["default", "overlap"])
+    def test_masks_equal_scalar_tests_on_edges(self, goal_center):
+        # Grid lines through every lava edge and the disc's rim, plus the
+        # neighbouring floats on each side of them.
+        geo = WorldGeometry(goal_center=goal_center)
+        edges = [4.0, 6.0, 4.5, 5.5, 0.0, 10.0,
+                 goal_center.x - geo.goal_radius, goal_center.x + geo.goal_radius,
+                 goal_center.y - geo.goal_radius, goal_center.y + geo.goal_radius]
+        axis = np.unique(np.concatenate([np.linspace(0.0, 10.0, 41), edges,
+                                         np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]))
+        px, py = (a.ravel() for a in np.meshgrid(axis, axis))
+        lava, goal = geo.terminal_masks(px, py)
+        expected_lava = [geo.in_lava(x, y) for x, y in zip(px.tolist(), py.tolist())]
+        expected_goal = [geo.in_goal(x, y) and not l for x, y, l in zip(px.tolist(), py.tolist(), expected_lava)]
+        assert lava.tolist() == expected_lava
+        assert goal.tolist() == expected_goal
+        assert lava.any() and goal.any() and not (lava & goal).any()
+
+    def test_no_lava(self):
+        geo = WorldGeometry(lava=())
+        lava, goal = geo.terminal_masks(np.array([5.0, 9.0]), np.array([2.0, 5.0]))
+        assert lava.tolist() == [False, False] and goal.tolist() == [False, True]
