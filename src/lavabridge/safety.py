@@ -103,9 +103,9 @@ def estimate_safety(
     with np.errstate(over="ignore"):  # unchecked rows may square to inf
         lava, goal = env.geometry.terminal_masks(start[:, 0], start[:, 1])
     ended = lava | goal
-    n_open = int(ended.argmax()) if ended.any() else len(start)
-    env.check_states(start[:n_open])
-    if n_open < len(start):
+    first_ended = int(ended.argmax()) if ended.any() else len(start)
+    env.check_states(start[:first_ended])
+    if first_ended < len(start):
         raise ValueError("safety is undefined for terminal states")
     steps = min(k, env.horizon)
     per_block = max(1, _BLOCK_ROWS // n)
