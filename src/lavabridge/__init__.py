@@ -24,6 +24,6 @@ from .learner import (
 )
 from .demos import DemoArchive, DemoTrajectory, generate_demos, load_archive, save_archive, subsample_states
 from .config import EnvSettings, RunConfig, load_run_config
-from .bench import EvalReport, evaluate, run_training, sweep
+from .bench import TrainingRun, evaluate, run_training, sweep
 
 __version__ = "0.1.0"

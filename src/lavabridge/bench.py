@@ -1,10 +1,11 @@
 """Training loop, ID/OOD evaluation, multi-seed sweeps, metrics emission.
 
-The training loop wires a start-state source (one of the samplers, the
-task's own start distribution, or the receding jump-start rule) to the
-actor-critic learner, accounting time in environment steps. Every
-``eval_interval`` steps the deterministic policy is scored from both the
-in-distribution and out-of-distribution start sets with a dedicated
+A ``TrainingRun`` wires a start-state source (one of the samplers, the
+task's own start distribution, or the receding jump-start rule, as
+``config.METHODS`` says) to the actor-critic learner and keeps the run's
+state, accounting time in environment steps. Whenever an episode crosses a
+multiple of ``eval_interval`` steps the deterministic policy is scored from
+both the in-distribution and out-of-distribution start sets with a dedicated
 environment and its own random substream, so evaluation can never perturb
 training.
 
@@ -24,35 +25,23 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .config import (
-    DEMO_METHODS,
-    PREFILL_METHODS,
-    SAMPLER_METHODS,
-    RunConfig,
-)
+from .config import METHODS, RunConfig, needs_archive
 from .demos import load_archive, subsample_states
 from .env import Cause, LavaBridgeEnv
 from .learner import SACLearner, jsrl_start_state, train_for_one_episode
 from .replay import ReplayBuffer, prefill_demo
 from .rngs import substream
-from .samplers import (
-    EpisodeLengthSampler,
-    GoalDistSampler,
-    SafetyWeightedSampler,
-    StartStateSampler,
-    UniformSampler,
-)
+from .samplers import EpisodeLengthSampler, GoalDistSampler, SafetyWeightedSampler, UniformSampler
 
 __all__ = [
-    "EvalReport",
     "MetricsRow",
-    "RunResult",
+    "TrainingRun",
     "evaluate",
     "run_training",
     "sweep",
@@ -61,22 +50,6 @@ __all__ = [
     "read_metrics_csv",
     "METRICS_HEADER",
 ]
-
-METRICS_HEADER = [
-    "step", "episode", "ep_len", "ep_return", "cause",
-    "id_success", "ood_success", "id_return", "ood_return",
-]
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Deterministic-policy scores at one checkpoint."""
-
-    step: int
-    id_success: float
-    ood_success: float
-    id_return: float
-    ood_return: float
 
 
 @dataclass
@@ -92,16 +65,7 @@ class MetricsRow:
     ood_return: float | None = None
 
 
-@dataclass
-class RunResult:
-    config: RunConfig
-    rows: list[MetricsRow]
-    evals: list[EvalReport]
-    learner: SACLearner
-    buffer: ReplayBuffer
-    sampler: StartStateSampler | None
-    env_steps: int
-    episodes: int
+METRICS_HEADER = [f.name for f in fields(MetricsRow)]
 
 
 def evaluate(
@@ -160,134 +124,133 @@ def evaluate(
     return successes / n_episodes, total_return / n_episodes
 
 
-def _build_sampler(cfg: RunConfig, demo_sub, env_for_safety) -> StartStateSampler | None:
-    kind = SAMPLER_METHODS.get(cfg.method)
-    if kind is None:
-        return None
-    samcfg = cfg.sampler
-    if kind == "auxss":
-        return EpisodeLengthSampler(demo_sub, cfg.horizon, samcfg)
-    if kind == "uniform":
-        return UniformSampler(demo_sub)
-    if kind == "goaldist":
-        goal = cfg.env.geometry().goal_center
-        return GoalDistSampler(demo_sub, goal, cfg.t_max, samcfg)
-    if kind == "omega":
-        return SafetyWeightedSampler(demo_sub, env_for_safety, samcfg, substream(cfg.seed, "sampler", 1))
-    raise ValueError(f"unhandled sampler kind {kind!r}")
+class TrainingRun:
+    """One seeded training job's state, built and evaluated at step 0.
 
-
-def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> RunResult:
-    """Run one seeded training job to ``t_max`` environment steps.
-
-    Start states come from the configured method; time advances by realized
-    episode lengths. When ``out_dir`` is given, writes metrics.csv,
-    checkpoint.npz, config.txt (the effective config) and, for sampler
-    methods, sampler_weights.csv into it. A demo archive state that is not a
-    valid reset target raises ``InvalidResetError`` before anything is written.
+    ``rows`` holds the step-0 evaluation row and then one row per episode
+    that ``run_episode()`` trained; ``evals`` are the rows with evaluation
+    columns filled. ``evaluate``, ``train_for_one_episode`` and the writers
+    are looked up in this module's globals at each call, never bound to the
+    run, so perfbench's tracer can swap them.
     """
-    env = cfg.env.build(cfg.horizon)
-    eval_env = cfg.env.build(cfg.horizon)
-    seed = cfg.seed
 
-    archive = None
-    demo_sub = None
-    demo_all = None
-    if cfg.method in DEMO_METHODS:
-        archive = load_archive(
-            cfg.demo_archive,
-            expected_geometry_hash=env.geometry_hash(),
-            goal_reward=cfg.env.goal_reward,
-        )
-        demo_all = archive.demo_states()
-        # Every demo state is a future reset target; reject a bad one before any run starts.
-        env.check_states(demo_all.states)
-        if cfg.method in SAMPLER_METHODS:
-            demo_sub = subsample_states(archive, cfg.demo_subset, seed)
+    def __init__(self, cfg: RunConfig, verbose: bool = False):
+        self.config = cfg
+        self.verbose = verbose
+        self.env = cfg.env.build(cfg.horizon)
+        self.eval_env = cfg.env.build(cfg.horizon)
+        start, prefill = METHODS[cfg.method]
+        self.demo_states = None
+        if needs_archive(cfg.method):
+            archive = load_archive(cfg.demo_archive, goal_reward=cfg.env.goal_reward,
+                                   expected_geometry_hash=self.env.geometry_hash())
+            self.demo_states = archive.demo_states()
+            # Every demo state is a future reset target; reject a bad one before any run starts.
+            self.env.check_states(self.demo_states.states)
+            if start not in ("p0", "jsrl"):
+                demo_sub = subsample_states(archive, cfg.demo_subset, cfg.seed)
 
-    learner = SACLearner(
-        cfg.learner,
-        init_rng=substream(seed, "learner-init"),
-        noise_rng=substream(seed, "learner-noise"),
-        f_max=cfg.env.f_max,
-    )
-    buffer = ReplayBuffer(cfg.learner.buffer_capacity, dtype=cfg.learner.dtype)
-    if cfg.method in PREFILL_METHODS:
-        n_demo = archive.n_transitions
-        if cfg.learner.buffer_capacity - n_demo < cfg.learner.batch_size:
-            raise ValueError(
-                f"{n_demo} demo transitions leave fewer than batch_size="
-                f"{cfg.learner.batch_size} online slots in buffer_capacity="
-                f"{cfg.learner.buffer_capacity}; no update could ever run"
-            )
-        prefill_demo(buffer, *archive.transition_arrays())
+        self.learner = SACLearner(cfg.learner, f_max=cfg.env.f_max,
+                                  init_rng=substream(cfg.seed, "learner-init"),
+                                  noise_rng=substream(cfg.seed, "learner-noise"))
+        self.buffer = ReplayBuffer(cfg.learner.buffer_capacity, dtype=cfg.learner.dtype)
+        if prefill:
+            if cfg.learner.buffer_capacity - archive.n_transitions < cfg.learner.batch_size:
+                raise ValueError(
+                    f"{archive.n_transitions} demo transitions leave fewer than batch_size="
+                    f"{cfg.learner.batch_size} online slots in buffer_capacity="
+                    f"{cfg.learner.buffer_capacity}; no update could ever run"
+                )
+            prefill_demo(self.buffer, *archive.transition_arrays())
 
-    scratch_env = cfg.env.build(cfg.horizon)
-    sampler = _build_sampler(cfg, demo_sub, scratch_env)
+        self.sampler = None
+        if start == "auxss":
+            self.sampler = EpisodeLengthSampler(demo_sub, cfg.horizon, cfg.sampler)
+        elif start == "uniform":
+            self.sampler = UniformSampler(demo_sub)
+        elif start == "goaldist":
+            goal = cfg.env.geometry().goal_center
+            self.sampler = GoalDistSampler(demo_sub, goal, cfg.t_max, cfg.sampler)
+        elif start == "omega":
+            self.sampler = SafetyWeightedSampler(demo_sub, cfg.env.build(cfg.horizon), cfg.sampler,
+                                                 substream(cfg.seed, "sampler", 1))
 
-    rng_env = substream(seed, "env")
-    rng_sampler = substream(seed, "sampler")
+        self.rng_env = substream(cfg.seed, "env")
+        self.rng_sampler = substream(cfg.seed, "sampler")
+        self.env_steps = 0
+        self.episodes = 0
+        self.rows = [MetricsRow(step=0, episode=0)]
+        self.evaluate_checkpoint()
 
-    rows: list[MetricsRow] = []
-    evals: list[EvalReport] = []
-    checkpoint_idx = 0
+    @property
+    def evals(self) -> list[MetricsRow]:
+        return [r for r in self.rows if r.id_success is not None]
 
-    def run_eval(step: int) -> EvalReport:
-        nonlocal checkpoint_idx
-        rng_eval = substream(seed, "eval", checkpoint_idx)
-        checkpoint_idx += 1
-        id_s, id_r = evaluate(learner, eval_env, "p0", cfg.eval_episodes, cfg.horizon,
-                              cfg.learner.gamma, rng_eval)
-        ood_s, ood_r = evaluate(learner, eval_env, "ood", cfg.eval_episodes, cfg.horizon,
-                                cfg.learner.gamma, rng_eval)
-        report = EvalReport(step, id_s, ood_s, id_r, ood_r)
-        evals.append(report)
-        if verbose:
-            print(f"[seed {seed}] step {step}: id={id_s:.2f} ood={ood_s:.2f}", flush=True)
-        return report
-
-    first = run_eval(0)
-    rows.append(MetricsRow(step=0, episode=0, id_success=first.id_success,
-                           ood_success=first.ood_success, id_return=first.id_return,
-                           ood_return=first.ood_return))
-
-    t = 0
-    episode = 0
-    next_eval = cfg.eval_interval
-    while t < cfg.t_max:
-        if cfg.method in SAMPLER_METHODS:
-            i, s0 = sampler.sample(rng_sampler)
-        elif cfg.method == "jsrl":
-            i, s0 = None, jsrl_start_state(demo_all, t, cfg.t_max, rng_sampler, env=env)
+    def run_episode(self) -> None:
+        """Train one episode; evaluate if it crossed a multiple of ``eval_interval``."""
+        cfg = self.config
+        i = None
+        if self.sampler is not None:
+            i, s0 = self.sampler.sample(self.rng_sampler)
+        elif METHODS[cfg.method][0] == "jsrl":
+            s0 = jsrl_start_state(self.demo_states, self.env_steps, cfg.t_max, self.rng_sampler,
+                                  env=self.env)
         else:
-            i, s0 = None, env.sample_start("p0", rng_env)
-        result = train_for_one_episode(env, s0, learner, buffer, cfg.horizon)
-        t += result.length
-        episode += 1
-        if sampler is not None:
-            sampler.observe(i, result.length, result.cause, t)
-        row = MetricsRow(step=t, episode=episode, ep_len=result.length,
-                         ep_return=result.ep_return, cause=result.cause)
-        if t >= next_eval:
-            report = run_eval(t)
-            row.id_success = report.id_success
-            row.ood_success = report.ood_success
-            row.id_return = report.id_return
-            row.ood_return = report.ood_return
-            next_eval = (t // cfg.eval_interval + 1) * cfg.eval_interval
-        rows.append(row)
+            s0 = self.env.sample_start("p0", self.rng_env)
+        before = self.env_steps
+        result = train_for_one_episode(self.env, s0, self.learner, self.buffer, cfg.horizon)
+        self.env_steps += result.length
+        self.episodes += 1
+        if self.sampler is not None:
+            self.sampler.observe(i, result.length, result.cause, self.env_steps)
+        self.rows.append(MetricsRow(step=self.env_steps, episode=self.episodes,
+                                    ep_len=result.length, ep_return=result.ep_return,
+                                    cause=result.cause))
+        if self.env_steps // cfg.eval_interval > before // cfg.eval_interval:
+            self.evaluate_checkpoint()
 
-    out = RunResult(config=cfg, rows=rows, evals=evals, learner=learner, buffer=buffer,
-                    sampler=sampler, env_steps=t, episodes=episode)
-    if out_dir is not None:
+    def evaluate_checkpoint(self) -> None:
+        """Score the deterministic policy into the last row's evaluation columns.
+
+        The eval substream is indexed by the checkpoint's position in ``evals``.
+        """
+        cfg = self.config
+        row = self.rows[-1]
+        rng = substream(cfg.seed, "eval", len(self.evals))
+        args = (cfg.eval_episodes, cfg.horizon, cfg.learner.gamma, rng)
+        row.id_success, row.id_return = evaluate(self.learner, self.eval_env, "p0", *args)
+        row.ood_success, row.ood_return = evaluate(self.learner, self.eval_env, "ood", *args)
+        if self.verbose:
+            print(f"[seed {cfg.seed}] step {row.step}: id={row.id_success:.2f} "
+                  f"ood={row.ood_success:.2f}", flush=True)
+
+    def save(self, out_dir) -> None:
+        """Write metrics.csv, checkpoint.npz, config.txt and any sampler_weights.csv."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / "metrics.csv", rows)
-        save_checkpoint(out_dir / "checkpoint.npz", learner.named_networks())
-        if sampler is not None:
-            sampler.snapshot_csv(out_dir / "sampler_weights.csv")
-        (out_dir / "config.txt").write_text(cfg.to_text())
-    return out
+        write_metrics_csv(out_dir / "metrics.csv", self.rows)
+        save_checkpoint(out_dir / "checkpoint.npz", self.learner.named_networks())
+        if self.sampler is not None:
+            self.sampler.snapshot_csv(out_dir / "sampler_weights.csv")
+        (out_dir / "config.txt").write_text(self.config.to_text())
+
+
+def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> TrainingRun:
+    """Run one seeded training job until it has taken ``t_max`` environment steps.
+
+    Time advances by realized episode lengths, so the last episode may end
+    past ``t_max``. A demo archive state that is not a valid reset target
+    raises ``InvalidResetError`` while the run is built, before anything is
+    written. When ``out_dir`` is given, metrics.csv, checkpoint.npz,
+    config.txt (the effective config) and, for sampler methods,
+    sampler_weights.csv are written into it at the end.
+    """
+    run = TrainingRun(cfg, verbose=verbose)
+    while run.env_steps < cfg.t_max:
+        run.run_episode()
+    if out_dir is not None:
+        run.save(out_dir)
+    return run
 
 
 # -- metrics files --------------------------------------------------------------
@@ -308,11 +271,7 @@ def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for r in rows:
-            writer.writerow([
-                _cell(r.step), _cell(r.episode), _cell(r.ep_len), _cell(r.ep_return),
-                _cell(r.cause), _cell(r.id_success), _cell(r.ood_success),
-                _cell(r.id_return), _cell(r.ood_return),
-            ])
+            writer.writerow([_cell(getattr(r, name)) for name in METRICS_HEADER])
 
 
 def read_metrics_csv(path) -> list[dict]:

@@ -32,19 +32,24 @@ __all__ = [
     "EnvSettings",
     "RunConfig",
     "METHODS",
+    "needs_archive",
     "parse_kv_text",
     "load_run_config",
     "config_from_mapping",
 ]
 
-METHODS = ("auxss", "uniform", "goaldist", "omega", "sac", "hysac", "hysac-auxss", "jsrl")
+# Method -> (start rule, prefill). The start rule is a sampler kind over demo
+# states, "jsrl" (the receding jump start) or "p0" (the task's own starts);
+# prefill puts the demo transitions into the replay buffer first.
+METHODS = {"auxss": ("auxss", False), "uniform": ("uniform", False),
+           "goaldist": ("goaldist", False), "omega": ("omega", False), "sac": ("p0", False),
+           "hysac": ("p0", True), "hysac-auxss": ("auxss", True), "jsrl": ("jsrl", False)}
 
-# Methods that reset to demo states through a weighted sampler.
-SAMPLER_METHODS = {"auxss": "auxss", "uniform": "uniform", "goaldist": "goaldist",
-                   "omega": "omega", "hysac-auxss": "auxss"}
-# Methods that need a demo archive at all.
-DEMO_METHODS = ("auxss", "uniform", "goaldist", "omega", "hysac", "hysac-auxss", "jsrl")
-PREFILL_METHODS = ("hysac", "hysac-auxss")
+
+def needs_archive(method: str) -> bool:
+    """Whether ``method`` reads ``run.demo_archive``: all but plain p0 starts do."""
+    return METHODS[method] != ("p0", False)
+
 
 # The env module owns every geometry and dynamics default.
 _GEOMETRY = WorldGeometry()
@@ -112,8 +117,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.method in DEMO_METHODS and not self.demo_archive:
+            raise ValueError(f"unknown method {self.method!r}; choose from {tuple(METHODS)}")
+        if needs_archive(self.method) and not self.demo_archive:
             raise ValueError(f"method {self.method!r} requires run.demo_archive")
         if self.horizon < 1 or self.t_max < 0:
             raise ValueError("horizon must be >= 1 and t_max >= 0")

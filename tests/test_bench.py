@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lavabridge import bench
 from lavabridge.bench import (
     MetricsRow,
+    TrainingRun,
     aggregate_runs,
     evaluate,
     read_metrics_csv,
@@ -16,7 +18,13 @@ from lavabridge.config import RunConfig, config_from_mapping
 from lavabridge.demos import save_archive, scripted_expert
 from lavabridge.env import Cause, InvalidResetError, LavaBridgeEnv
 from lavabridge.learner import LearnerConfig, SACLearner
-from lavabridge.samplers import SamplerConfig
+from lavabridge.samplers import (
+    EpisodeLengthSampler,
+    GoalDistSampler,
+    SafetyWeightedSampler,
+    SamplerConfig,
+    UniformSampler,
+)
 
 
 class ExpertPolicy:
@@ -238,6 +246,60 @@ class TestRunTraining:
         last_eval_step = result.evals[-1].step
         assert last_eval_step == result.rows[-1].step
         assert result.rows[-1].id_success is not None
+
+
+class TestTrainingRun:
+    @pytest.mark.parametrize("method, sampler_cls, prefix", [
+        ("auxss", EpisodeLengthSampler, 0),
+        ("uniform", UniformSampler, 0),
+        ("goaldist", GoalDistSampler, 0),
+        ("omega", SafetyWeightedSampler, 0),
+        ("sac", None, 0),
+        ("hysac", None, 400),  # the archive's transition count
+        ("hysac-auxss", EpisodeLengthSampler, 400),
+        ("jsrl", None, 0),
+    ])
+    def test_method_table_builds_start_rule_and_buffer(self, archive_path, method, sampler_cls,
+                                                        prefix):
+        # Building runs no episode; t_max=1 because GoalDistSampler rejects t_max=0.
+        run = TrainingRun(tiny_config(method, archive_path, t_max=1))
+        assert type(run.sampler) is sampler_cls if sampler_cls else run.sampler is None
+        assert run.buffer.frozen_prefix_len == prefix
+        assert [r.step for r in run.evals] == [0]
+
+    def test_sac_never_reads_the_archive(self, archive_path, tmp_path):
+        cfg = tiny_config("sac", archive_path, t_max=200, eval_interval=200,
+                          demo_archive=str(tmp_path / "missing.csv"))
+        assert run_training(cfg).env_steps >= 200
+
+    def test_evals_land_on_rows_that_cross_an_interval(self, archive_path):
+        run = run_training(tiny_config("uniform", archive_path, eval_interval=250))
+        crossed = [r.step for prev, r in zip(run.rows, run.rows[1:])
+                   if r.step // 250 > prev.step // 250]
+        assert len(crossed) >= 4
+        assert [r.step for r in run.evals] == [0, *crossed]
+
+    def test_loop_calls_through_module_globals(self, archive_path, monkeypatch, tmp_path):
+        # perfbench's tracer swaps these module globals. A run that bound them
+        # early would bypass the swap, and the traced bench.* and io.* metrics
+        # would read 0.
+        calls = dict.fromkeys(["train_for_one_episode", "evaluate", "write_metrics_csv",
+                               "save_checkpoint"], 0)
+
+        def counting(name):
+            fn = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bench, name, counting(name))
+        run = run_training(tiny_config("auxss", archive_path), out_dir=tmp_path / "run")
+        assert len(run.evals) >= 2
+        assert calls == {"train_for_one_episode": run.episodes, "evaluate": 2 * len(run.evals),
+                         "write_metrics_csv": 1, "save_checkpoint": 1}
 
 
 class TestMetricsCsv:
