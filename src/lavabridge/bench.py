@@ -85,35 +85,36 @@ def evaluate(
     ``learner`` needs one method, ``act_batch(states (N, 4)) -> forces (N, 2)``,
     whose row i is the deterministic action for state i. All ``n_episodes``
     run in lockstep: their start states are drawn first, in episode order,
-    then each step makes one ``act_batch`` call over the episodes still
-    running and steps each of them on ``env`` from its own snapshot. The
-    result is bitwise equal to running the episodes one at a time. ``env`` is
-    left in the state of the last episode stepped.
+    and checked as reset targets. Then each of ``min(horizon, env.horizon)``
+    steps makes one ``act_batch`` call over the episodes still running and
+    advances each by ``env.transition``. The result is bitwise equal to
+    running the episodes one at a time by ``reset_to`` and ``step``, and
+    ``env`` is left untouched.
     """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
-    snaps = []
-    for _ in range(n_episodes):
-        env.reset_to(env.sample_start(which, rng))
-        snaps.append(env.snapshot())
+    starts = [env.sample_start(which, rng) for _ in range(n_episodes)]
+    states = [tuple(row) for row in env.check_states(starts).tolist()]
     returns = [0.0] * n_episodes
     successes = 0
     active = list(range(n_episodes))
     discount = 1.0
-    for _ in range(horizon):
+    transition = env.transition
+    for _ in range(min(horizon, env.horizon)):
         if not active:
             break
-        forces = learner.act_batch(np.array([snaps[i][:4] for i in active]))
+        forces = learner.act_batch(np.array([states[i] for i in active]))
         running = []
-        for i, force in zip(active, forces.tolist()):
-            env.restore(snaps[i])
-            res = env.step(force)
-            returns[i] += discount * res.reward
-            if res.terminated:
-                successes += res.cause is Cause.GOAL
-            else:
-                snaps[i] = env.snapshot()
+        for i, (fx, fy) in zip(active, forces.tolist()):
+            px, py, vx, vy, cause = transition(*states[i], fx, fy)
+            if cause is Cause.NONE:
+                states[i] = (px, py, vx, vy)
                 running.append(i)
+            elif cause is Cause.GOAL:
+                returns[i] += discount * env.goal_reward
+                successes += 1
+            else:
+                returns[i] += discount * env.lava_reward
         active = running
         discount *= gamma
     total_return = 0.0

@@ -122,6 +122,8 @@ class RunConfig:
             raise ValueError(f"method {self.method!r} requires run.demo_archive")
         if self.horizon < 1 or self.t_max < 0:
             raise ValueError("horizon must be >= 1 and t_max >= 0")
+        if self.method == "goaldist" and self.t_max == 0:
+            raise ValueError("method 'goaldist' needs t_max > 0: it anneals over t_max steps")
         if self.eval_interval < 1 or self.eval_episodes < 1:
             raise ValueError("eval interval and episode count must be positive")
         if self.demo_subset < 1:

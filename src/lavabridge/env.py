@@ -10,7 +10,8 @@ samplers in this package are built on.
 Inside the package a state is a float64 row ``[px, py, vx, vy]``: ``(4,)``
 for one state, ``(n, 4)`` for many. A force is an ``(fx, fy)`` pair of
 floats. ``Vec2`` and ``Rect`` describe the static geometry; ``State`` is kept
-only as the argument of ``is_terminal``.
+only as the argument of ``is_terminal``. The dynamics are one pure scalar
+``LavaBridgeEnv.transition``, which ``step`` wraps in a counter and rewards.
 """
 
 from __future__ import annotations
@@ -121,10 +122,15 @@ class WorldGeometry:
     ood_jitter: float = 0.15
 
     def in_lava(self, x: float, y: float) -> bool:
-        for rect in self.lava:
-            if rect.contains(x, y):
+        for xmin, xmax, ymin, ymax in self._lava_rects:
+            if xmin <= x <= xmax and ymin <= y <= ymax:
                 return True
         return False
+
+    @cached_property
+    def _lava_rects(self) -> tuple[tuple[float, float, float, float], ...]:
+        """The xmin, xmax, ymin and ymax of each lava rectangle, read by ``in_lava``."""
+        return tuple((r.xmin, r.xmax, r.ymin, r.ymax) for r in self.lava)
 
     def in_goal(self, x: float, y: float) -> bool:
         dx, dy = x - self.goal_center.x, y - self.goal_center.y
@@ -133,7 +139,7 @@ class WorldGeometry:
     @cached_property
     def _lava_bounds(self) -> np.ndarray:
         """``(4, R, 1)``: the xmin, xmax, ymin and ymax of each lava rectangle."""
-        return np.array([[r.xmin, r.xmax, r.ymin, r.ymax] for r in self.lava]).T.reshape(4, -1, 1)
+        return np.array(self._lava_rects).T.reshape(4, -1, 1)
 
     def terminal_masks(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Array form of ``in_lava`` and ``in_goal`` over the positions ``(px[i], py[i])``.
@@ -352,15 +358,12 @@ class LavaBridgeEnv:
 
     # -- dynamics ------------------------------------------------------------
 
-    def step(self, force) -> StepResult:
-        """Advance one step under the ``(fx, fy)`` force pair.
+    def transition(self, px, py, vx, vy, fx, fy) -> tuple:
+        """The next state and cause ``(px, py, vx, vy, cause)`` of one step under ``(fx, fy)``.
 
-        Raises EpisodeOverError after termination.
+        Pure: ``cause`` is LAVA, else GOAL where the next state lies, else NONE.
         """
-        if self._terminated:
-            raise EpisodeOverError("step() called on a terminated episode; reset first")
         f_max = self.f_max
-        fx, fy = force
         # Actuator saturation: commands beyond the force budget are clamped.
         if fx > f_max:
             fx = f_max
@@ -373,15 +376,15 @@ class LavaBridgeEnv:
 
         dt = self.dt
         drag = self.drag
-        vx = self._vx + (fx - drag * self._vx) * dt
-        vy = self._vy + (fy - drag * self._vy) * dt
+        vx = vx + (fx - drag * vx) * dt
+        vy = vy + (fy - drag * vy) * dt
         speed = math.sqrt(vx * vx + vy * vy)
         if speed > self.v_max:
             scale = self.v_max / speed
             vx *= scale
             vy *= scale
-        px = self._px + vx * dt
-        py = self._py + vy * dt
+        px = px + vx * dt
+        py = py + vy * dt
 
         world = self.geometry.world
         if px < world.xmin:
@@ -393,25 +396,34 @@ class LavaBridgeEnv:
         elif py > world.ymax:
             py, vy = world.ymax, 0.0
 
-        self._px, self._py, self._vx, self._vy = px, py, vx, vy
-        self._steps += 1
-
-        cause = Cause.NONE
-        reward = 0.0
         if self.geometry.in_lava(px, py):
-            cause, reward = Cause.LAVA, self.lava_reward
-        elif self.geometry.in_goal(px, py):
-            cause, reward = Cause.GOAL, self.goal_reward
-        elif self._steps >= self.horizon:
-            cause = Cause.TIMEOUT
+            return px, py, vx, vy, Cause.LAVA
+        return px, py, vx, vy, Cause.GOAL if self.geometry.in_goal(px, py) else Cause.NONE
+
+    def step(self, force) -> StepResult:
+        """Advance one ``transition`` under the ``(fx, fy)`` force pair; count and reward it.
+
+        Times out at ``horizon``. Raises EpisodeOverError after termination.
+        """
+        if self._terminated:
+            raise EpisodeOverError("step() called on a terminated episode; reset first")
+        fx, fy = force
+        self._px, self._py, self._vx, self._vy, cause = self.transition(
+            self._px, self._py, self._vx, self._vy, fx, fy)
+        self._steps += 1
         terminated = cause is not Cause.NONE
+        reward = 0.0
+        if terminated:
+            reward = self.lava_reward if cause is Cause.LAVA else self.goal_reward
+        elif self._steps >= self.horizon:
+            cause, terminated = Cause.TIMEOUT, True
         self._terminated = terminated
         return StepResult(reward, terminated, cause)
 
     def step_batch(
         self, states: np.ndarray, forces: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Step N independent rows at once; row i equals ``reset_to`` + ``step``.
+        """Step N independent rows at once; row i equals ``transition`` of row i.
 
         ``states`` is ``(N, 4)`` ``[px, py, vx, vy]`` and ``forces`` is
         ``(N, 2)``. Returns the next states and two ``(N,)`` bool masks:
@@ -420,16 +432,15 @@ class LavaBridgeEnv:
         ``(N, 4)`` array laid out column by column (Fortran order), so each
         of its columns is contiguous; fed back in, it steps without a copy.
 
-        Each row matches the scalar ``step`` bit for bit, because both paths
-        run the same correctly rounded IEEE-754 operations in the same order;
-        the norms are ``sqrt(x * x + y * y)`` on both, and neither Python nor
-        separate numpy ufuncs fuse them into an FMA. The speed clip and the
-        wall clamps touch only the rows that take them; on the others
-        ``step`` leaves the values alone too. Rows are reachable states
+        Row i matches ``transition`` bit for bit, in state and cause, because
+        both paths run the same correctly rounded IEEE-754 operations in the
+        same order; the norms are ``sqrt(x * x + y * y)`` on both, and neither
+        Python nor separate numpy ufuncs fuse them into an FMA. The speed clip
+        and the wall clamps touch only the rows that take them; on the others
+        ``transition`` leaves the values alone too. Rows are reachable states
         (finite, within the world, at most ``v_max`` fast), so the squares
-        cannot overflow. This is a pure function of its arguments: the env's
-        own state, step counter and termination flag are untouched, and
-        timeouts are left to the caller.
+        cannot overflow. Like ``transition``, this is a pure function of its
+        arguments, and timeouts are left to the caller.
         """
         s = np.asarray(states, dtype=np.float64)
         f = np.asarray(forces, dtype=np.float64)

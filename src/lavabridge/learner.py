@@ -128,7 +128,7 @@ class SACLearner:
         """
         s = np.asarray(state, dtype=np.float64)
         out = self.policy.forward(s[None, :])[0][0]
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DivergenceError("policy network produced non-finite output")
         if stochastic:
             rng = rng if rng is not None else self.noise_rng
@@ -150,7 +150,7 @@ class SACLearner:
         """
         s = np.asarray(states, dtype=np.float64)
         out = self.policy.forward(s[:, None, :])[0][:, 0]
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DivergenceError("policy network produced non-finite output")
         return self.head.mean_action(out)
 

@@ -267,6 +267,13 @@ class TestTrainingRun:
         assert run.buffer.frozen_prefix_len == prefix
         assert [r.step for r in run.evals] == [0]
 
+    @pytest.mark.parametrize("method", ["auxss", "uniform", "omega", "sac", "hysac", "hysac-auxss",
+                                        "jsrl"])
+    def test_zero_budget_builds_for_every_method_but_goaldist(self, archive_path, method):
+        # perfbench's train-auxss set-up builds such a run; goaldist rejects t_max=0 in RunConfig.
+        run = run_training(tiny_config(method, archive_path, t_max=0))
+        assert run.episodes == 0 and [r.step for r in run.evals] == [0]
+
     def test_sac_never_reads_the_archive(self, archive_path, tmp_path):
         cfg = tiny_config("sac", archive_path, t_max=200, eval_interval=200,
                           demo_archive=str(tmp_path / "missing.csv"))

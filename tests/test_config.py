@@ -279,6 +279,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             LearnerConfig(**kw)
 
+    def test_goaldist_needs_a_positive_t_max(self):
+        # GoalDistSampler anneals over t_max; this config used to pass here
+        # and fail only when the run was built.
+        with pytest.raises(ValueError, match="goaldist.*t_max"):
+            config_from_mapping({"run.method": "goaldist", "run.demo_archive": "demos.csv",
+                                 "run.t_max": "0"})
+
     def test_bad_scalar_names_its_key(self):
         with pytest.raises(ValueError, match="config key learner.batch_size"):
             config_from_mapping({"run.method": "sac", "learner.batch_size": "many"})

@@ -507,3 +507,51 @@ class TestTerminalMasks:
         geo = WorldGeometry(lava=())
         lava, goal = geo.terminal_masks(np.array([5.0, 9.0]), np.array([2.0, 5.0]))
         assert lava.tolist() == [False, False] and goal.tolist() == [False, True]
+
+
+def transition_bits(env, row, force):
+    px, py, vx, vy, cause = env.transition(*row, *force)
+    return bits([px, py, vx, vy]).tolist(), cause
+
+
+class TestTransition:
+    @settings(max_examples=300, deadline=None)
+    @given(row=reset_rows(), force=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    def test_equals_step_bitwise(self, row, force):
+        env = LavaBridgeEnv()
+        got = transition_bits(env, row, force)
+        state, cause = scalar_step(env, row, force)
+        assert got == (bits(state).tolist(), cause)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.lists(st.tuples(reset_rows(), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
+                         min_size=1, max_size=24))
+    def test_step_batch_rows_equal_transition(self, data):
+        env = LavaBridgeEnv()
+        rows, forces = zip(*data)
+        nxt, lava, goal = env.step_batch(np.array(rows), np.array(forces))
+        for i, (row, force) in enumerate(data):
+            state, cause = transition_bits(env, row, force)
+            assert bits(nxt[i]).tolist() == state
+            assert (bool(lava[i]), bool(goal[i])) == (cause is Cause.LAVA, cause is Cause.GOAL)
+
+    def test_evaluate_never_resets_snapshots_or_steps_the_env(self, monkeypatch):
+        from lavabridge.bench import evaluate
+        from lavabridge.learner import LearnerConfig, SACLearner
+
+        env = LavaBridgeEnv(horizon=80)
+        env.reset_to(mk_state(2.0, 3.0, 0.5, -0.5))
+        env.step((0.3, 0.2))
+        before = (env.state.tolist(), env.steps, env.terminated)
+        learner = SACLearner(LearnerConfig(), init_rng=np.random.default_rng(0),
+                             noise_rng=np.random.default_rng(1))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluate called a stateful env method")
+
+        for name in ("reset_to", "snapshot", "restore", "step"):
+            monkeypatch.setattr(LavaBridgeEnv, name, forbidden)
+        for which in ("p0", "ood"):
+            evaluate(learner, env, which, 5, 100, 0.99, np.random.default_rng(2))
+        monkeypatch.undo()
+        assert (env.state.tolist(), env.steps, env.terminated) == before
