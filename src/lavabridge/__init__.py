@@ -19,7 +19,6 @@ from .learner import (
     EpisodeResult,
     LearnerConfig,
     SACLearner,
-    jsrl_start_state,
     train_for_one_episode,
 )
 from .demos import DemoArchive, DemoTrajectory, generate_demos, load_archive, save_archive, subsample_states

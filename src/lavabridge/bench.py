@@ -1,13 +1,12 @@
 """Training loop, ID/OOD evaluation, multi-seed sweeps, metrics emission.
 
-A ``TrainingRun`` wires a start-state source (one of the samplers, the
-task's own start distribution, or the receding jump-start rule, as
-``config.METHODS`` says) to the actor-critic learner and keeps the run's
+A ``TrainingRun`` wires its method's start rule (``config.METHODS`` names it,
+``_START_RULES`` builds it) to the actor-critic learner and keeps the run's
 state, accounting time in environment steps. Whenever an episode crosses a
 multiple of ``eval_interval`` steps the deterministic policy is scored from
-both the in-distribution and out-of-distribution start sets with a dedicated
-environment and its own random substream, so evaluation can never perturb
-training.
+both the in-distribution and out-of-distribution start sets with its own
+random substream, on the run's one environment, which ``evaluate`` leaves
+untouched; so evaluation can never perturb training.
 
 Metrics are one CSV row per episode (plus one initial evaluation row):
 
@@ -34,10 +33,11 @@ from .checkpoint import save_checkpoint
 from .config import METHODS, RunConfig, needs_archive
 from .demos import load_archive, subsample_states
 from .env import Cause, LavaBridgeEnv
-from .learner import SACLearner, jsrl_start_state, train_for_one_episode
+from .learner import SACLearner, train_for_one_episode
 from .replay import ReplayBuffer, prefill_demo
 from .rngs import substream
-from .samplers import EpisodeLengthSampler, GoalDistSampler, SafetyWeightedSampler, UniformSampler
+from .samplers import (EpisodeLengthSampler, GoalDistSampler, JumpStart, P0Start,
+                       SafetyWeightedSampler, StartStateSampler, UniformSampler)
 
 __all__ = [
     "MetricsRow",
@@ -125,6 +125,24 @@ def evaluate(
     return successes / n_episodes, total_return / n_episodes
 
 
+def _demo_subset(cfg: RunConfig, archive):
+    return subsample_states(archive, cfg.demo_subset, cfg.seed)
+
+
+# Start rule of config.METHODS -> builder(cfg, env, archive) of its sampler.
+_START_RULES = {
+    "p0": lambda cfg, env, archive: P0Start(env),
+    "jsrl": lambda cfg, env, archive: JumpStart(archive.demo_states(), cfg.t_max, env),
+    "auxss": lambda cfg, env, archive: EpisodeLengthSampler(
+        _demo_subset(cfg, archive), cfg.horizon, cfg.sampler),
+    "uniform": lambda cfg, env, archive: UniformSampler(_demo_subset(cfg, archive)),
+    "goaldist": lambda cfg, env, archive: GoalDistSampler(
+        _demo_subset(cfg, archive), env.geometry.goal_center, cfg.t_max, cfg.sampler),
+    "omega": lambda cfg, env, archive: SafetyWeightedSampler(
+        _demo_subset(cfg, archive), env, cfg.sampler, substream(cfg.seed, "sampler", 1)),
+}
+
+
 class TrainingRun:
     """One seeded training job's state, built and evaluated at step 0.
 
@@ -139,17 +157,13 @@ class TrainingRun:
         self.config = cfg
         self.verbose = verbose
         self.env = cfg.env.build(cfg.horizon)
-        self.eval_env = cfg.env.build(cfg.horizon)
         start, prefill = METHODS[cfg.method]
-        self.demo_states = None
+        archive = None
         if needs_archive(cfg.method):
             archive = load_archive(cfg.demo_archive, goal_reward=cfg.env.goal_reward,
                                    expected_geometry_hash=self.env.geometry_hash())
-            self.demo_states = archive.demo_states()
             # Every demo state is a future reset target; reject a bad one before any run starts.
-            self.env.check_states(self.demo_states.states)
-            if start not in ("p0", "jsrl"):
-                demo_sub = subsample_states(archive, cfg.demo_subset, cfg.seed)
+            self.env.check_states(archive.demo_states().states)
 
         self.learner = SACLearner(cfg.learner, f_max=cfg.env.f_max,
                                   init_rng=substream(cfg.seed, "learner-init"),
@@ -164,20 +178,9 @@ class TrainingRun:
                 )
             prefill_demo(self.buffer, *archive.transition_arrays())
 
-        self.sampler = None
-        if start == "auxss":
-            self.sampler = EpisodeLengthSampler(demo_sub, cfg.horizon, cfg.sampler)
-        elif start == "uniform":
-            self.sampler = UniformSampler(demo_sub)
-        elif start == "goaldist":
-            goal = cfg.env.geometry().goal_center
-            self.sampler = GoalDistSampler(demo_sub, goal, cfg.t_max, cfg.sampler)
-        elif start == "omega":
-            self.sampler = SafetyWeightedSampler(demo_sub, cfg.env.build(cfg.horizon), cfg.sampler,
-                                                 substream(cfg.seed, "sampler", 1))
-
-        self.rng_env = substream(cfg.seed, "env")
-        self.rng_sampler = substream(cfg.seed, "sampler")
+        self.sampler = _START_RULES[start](cfg, self.env, archive)
+        # A stream's name fixes its draws: p0 starts have always come from "env".
+        self.rng_start = substream(cfg.seed, "env" if start == "p0" else "sampler")
         self.env_steps = 0
         self.episodes = 0
         self.rows = [MetricsRow(step=0, episode=0)]
@@ -190,20 +193,12 @@ class TrainingRun:
     def run_episode(self) -> None:
         """Train one episode; evaluate if it crossed a multiple of ``eval_interval``."""
         cfg = self.config
-        i = None
-        if self.sampler is not None:
-            i, s0 = self.sampler.sample(self.rng_sampler)
-        elif METHODS[cfg.method][0] == "jsrl":
-            s0 = jsrl_start_state(self.demo_states, self.env_steps, cfg.t_max, self.rng_sampler,
-                                  env=self.env)
-        else:
-            s0 = self.env.sample_start("p0", self.rng_env)
+        i, s0 = self.sampler.sample(self.rng_start)
         before = self.env_steps
-        result = train_for_one_episode(self.env, s0, self.learner, self.buffer, cfg.horizon)
+        result = train_for_one_episode(self.env, s0, self.learner, self.buffer)
         self.env_steps += result.length
         self.episodes += 1
-        if self.sampler is not None:
-            self.sampler.observe(i, result.length, result.cause, self.env_steps)
+        self.sampler.observe(i, result.length, result.cause, self.env_steps)
         self.rows.append(MetricsRow(step=self.env_steps, episode=self.episodes,
                                     ep_len=result.length, ep_return=result.ep_return,
                                     cause=result.cause))
@@ -219,8 +214,8 @@ class TrainingRun:
         row = self.rows[-1]
         rng = substream(cfg.seed, "eval", len(self.evals))
         args = (cfg.eval_episodes, cfg.horizon, cfg.learner.gamma, rng)
-        row.id_success, row.id_return = evaluate(self.learner, self.eval_env, "p0", *args)
-        row.ood_success, row.ood_return = evaluate(self.learner, self.eval_env, "ood", *args)
+        row.id_success, row.id_return = evaluate(self.learner, self.env, "p0", *args)
+        row.ood_success, row.ood_return = evaluate(self.learner, self.env, "ood", *args)
         if self.verbose:
             print(f"[seed {cfg.seed}] step {row.step}: id={row.id_success:.2f} "
                   f"ood={row.ood_success:.2f}", flush=True)
@@ -231,7 +226,7 @@ class TrainingRun:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out_dir / "metrics.csv", self.rows)
         save_checkpoint(out_dir / "checkpoint.npz", self.learner.named_networks())
-        if self.sampler is not None:
+        if isinstance(self.sampler, StartStateSampler):
             self.sampler.snapshot_csv(out_dir / "sampler_weights.csv")
         (out_dir / "config.txt").write_text(self.config.to_text())
 
@@ -243,8 +238,8 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> Trainin
     past ``t_max``. A demo archive state that is not a valid reset target
     raises ``InvalidResetError`` while the run is built, before anything is
     written. When ``out_dir`` is given, metrics.csv, checkpoint.npz,
-    config.txt (the effective config) and, for sampler methods,
-    sampler_weights.csv are written into it at the end.
+    config.txt (the effective config) and, for the methods whose start rule
+    holds weights, sampler_weights.csv are written into it at the end.
     """
     run = TrainingRun(cfg, verbose=verbose)
     while run.env_steps < cfg.t_max:

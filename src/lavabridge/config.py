@@ -38,8 +38,7 @@ __all__ = [
     "config_from_mapping",
 ]
 
-# Method -> (start rule, prefill). The start rule is a sampler kind over demo
-# states, "jsrl" (the receding jump start) or "p0" (the task's own starts);
+# Method -> (start rule, prefill). The start rule is a key of bench._START_RULES;
 # prefill puts the demo transitions into the replay buffer first.
 METHODS = {"auxss": ("auxss", False), "uniform": ("uniform", False),
            "goaldist": ("goaldist", False), "omega": ("omega", False), "sac": ("p0", False),

@@ -89,9 +89,6 @@ class Rect:
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
-    def center(self) -> Vec2:
-        return Vec2(0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
-
 
 @dataclass(frozen=True)
 class WorldGeometry:

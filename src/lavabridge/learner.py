@@ -6,9 +6,7 @@ coefficient, Adam everywhere. Timeouts are not treated as environment
 termination when bootstrapping (the horizon is a harness artifact, not part
 of the dynamics).
 
-Also hosts the demo-prefill helper's companions: a per-episode training
-driver and the receding-handover start-state rule used by the jump-start
-baseline.
+Also hosts the per-episode training driver, ``train_for_one_episode``.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 from .env import Cause, LavaBridgeEnv
 from .nets import MLP, Adam, SquashedGaussianHead, ema_update
 from .replay import ReplayBuffer
-from .samplers import DemoStates
 
 __all__ = [
     "DivergenceError",
@@ -29,7 +26,6 @@ __all__ = [
     "LearnerConfig",
     "SACLearner",
     "train_for_one_episode",
-    "jsrl_start_state",
 ]
 
 
@@ -283,22 +279,21 @@ def train_for_one_episode(
     s0: np.ndarray,
     learner: SACLearner,
     buffer: ReplayBuffer,
-    horizon: int,
 ) -> EpisodeResult:
     """Roll the stochastic policy from ``s0``, storing transitions and updating.
 
-    Gradient updates begin once the buffer holds at least one batch of
-    non-frozen samples; each environment step then triggers
-    ``cfg.grad_steps`` updates. Timeout transitions are stored with
+    The episode ends when ``env`` terminates it: in lava, at the goal, or at
+    its own ``horizon``. Gradient updates begin once the buffer holds at
+    least one batch of non-frozen samples; each environment step then
+    triggers ``cfg.grad_steps`` updates. Timeout transitions are stored with
     done=False so the critic keeps bootstrapping through them.
     """
     env.reset_to(s0)
     cfg = learner.cfg
     total = 0.0
     length = 0
-    cause = Cause.NONE
     s = env.state
-    for _ in range(horizon):
+    while True:
         a = learner.act(s, stochastic=True)
         res = env.step(a)
         s2 = env.state
@@ -310,35 +305,4 @@ def train_for_one_episode(
             for _ in range(cfg.grad_steps):
                 learner.update_step(buffer)
         if res.terminated:
-            cause = res.cause
-            break
-    if cause is Cause.NONE:  # driver horizon shorter than the env's own
-        cause = Cause.TIMEOUT
-    return EpisodeResult(length=length, ep_return=total, cause=cause)
-
-
-def jsrl_start_state(
-    demo: DemoStates,
-    t: int,
-    t_max: int,
-    rng: np.random.Generator,
-    env: LavaBridgeEnv | None = None,
-) -> np.ndarray:
-    """Receding-handover reset: late-trajectory states early in training.
-
-    Picks a demo trajectory uniformly and returns the state at fraction
-    h(t) = 1 - t / T_max of its length, so resets start at the trajectory
-    tail and walk back to its head as training progresses. At t >= T_max the
-    handover has fully receded and the draw comes from the task's own start
-    distribution (requires ``env``).
-    """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if t >= t_max:
-        if env is None:
-            raise ValueError("receded past the demo states; need env to draw from p0")
-        return env.sample_start("p0", rng)
-    tids = np.unique(demo.trajectory_ids)
-    rows = np.flatnonzero(demo.trajectory_ids == tids[int(rng.integers(len(tids)))])
-    h = 1.0 - t / t_max
-    return demo.states[rows[int(h * (len(rows) - 1))]]
+            return EpisodeResult(length=length, ep_return=total, cause=res.cause)

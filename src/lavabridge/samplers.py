@@ -1,8 +1,10 @@
-"""Start-state distributions over a fixed archive of demonstration states.
+"""Start rules: where each training episode starts.
 
-All samplers share one contract: they hold a weight vector ``W`` over the
-demo states (categorical sampling probability ``W[j] / sum(W)``) and may
-adjust it from episode feedback. Four flavors:
+Every rule draws a start by ``sample(rng) -> (i, s0)`` and takes its
+episode's feedback by ``observe(i, ep_len, cause, t)``. ``P0Start`` and
+``JumpStart`` hold no weights. The samplers hold a weight vector ``W`` over
+a fixed archive of demo states (categorical sampling probability
+``W[j] / sum(W)``) and may adjust it from episode feedback. Four flavors:
 
 * episode-length driven (``EpisodeLengthSampler``): after an episode started
   from state ``i`` ran for ``L`` of at most ``H`` steps, the weight at ``i``
@@ -25,12 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import safety
-from .env import Cause, Vec2
+from .env import Cause, LavaBridgeEnv, Vec2
 
 __all__ = [
     "DemoStates",
     "SamplerConfig",
     "SamplerWeights",
+    "P0Start",
+    "JumpStart",
     "StartStateSampler",
     "EpisodeLengthSampler",
     "UniformSampler",
@@ -105,11 +109,52 @@ class SamplerConfig:
             raise ValueError("n_safety_rollouts must be >= 1")
 
 
-# -- sampler objects ----------------------------------------------------------
+# -- start rules --------------------------------------------------------------
+
+
+class P0Start:
+    """The task's own start distribution, ``env.sample_start("p0", rng)``; index None."""
+
+    def __init__(self, env: LavaBridgeEnv):
+        self.env = env
+
+    def sample(self, rng: np.random.Generator) -> tuple[int | None, np.ndarray]:
+        return None, self.env.sample_start("p0", rng)
+
+    def observe(self, i: int | None, ep_len: int, cause: Cause, t: int) -> None:
+        """Episode feedback; t is the cumulative env-step counter after the episode."""
+
+
+class JumpStart(P0Start):
+    """Receding-handover starts: late-trajectory states early in training.
+
+    Picks a demo trajectory uniformly and returns its state at fraction
+    h(t) = 1 - t / T_max of its length, t being the env-step clock of the last
+    ``observe`` (0 before it): tails first, heads last. At t >= T_max (every
+    draw if T_max = 0) the handover has receded and the draw is ``env``'s p0.
+    """
+
+    def __init__(self, demo: DemoStates, t_max: int, env: LavaBridgeEnv):
+        super().__init__(env)
+        self.demo = demo
+        self.t_max = int(t_max)
+        self.t = 0
+
+    def sample(self, rng: np.random.Generator) -> tuple[int | None, np.ndarray]:
+        if self.t >= self.t_max:
+            return super().sample(rng)
+        tids = np.unique(self.demo.trajectory_ids)
+        rows = np.flatnonzero(self.demo.trajectory_ids == tids[int(rng.integers(len(tids)))])
+        h = 1.0 - self.t / self.t_max
+        i = int(rows[int(h * (len(rows) - 1))])
+        return i, self.demo.states[i]
+
+    def observe(self, i: int | None, ep_len: int, cause: Cause, t: int) -> None:
+        self.t = t
 
 
 class StartStateSampler:
-    """Common interface: sample a start index/state, then observe the episode.
+    """Common sampler base: weighted categorical draws over the demo states.
 
     The weights start at all ones, so every demo state gets visited at least
     once in expectation.

@@ -14,13 +14,15 @@ from lavabridge.bench import (
     run_training,
     write_metrics_csv,
 )
-from lavabridge.config import RunConfig, config_from_mapping
+from lavabridge.config import METHODS, RunConfig, config_from_mapping
 from lavabridge.demos import save_archive, scripted_expert
 from lavabridge.env import Cause, InvalidResetError, LavaBridgeEnv
 from lavabridge.learner import LearnerConfig, SACLearner
 from lavabridge.samplers import (
     EpisodeLengthSampler,
     GoalDistSampler,
+    JumpStart,
+    P0Start,
     SafetyWeightedSampler,
     SamplerConfig,
     UniformSampler,
@@ -198,12 +200,16 @@ class TestRunTraining:
         if method in ("goaldist", "omega", "hysac-auxss"):
             assert (tmp_path / method / "sampler_weights.csv").exists()
 
-    def test_run_directory_holds_the_documented_files(self, archive_path, tmp_path):
-        # run_training's docstring lists these; a prefill run writes no buffer copy.
-        cfg = tiny_config("hysac", archive_path, t_max=200, eval_interval=200)
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_run_directory_holds_the_documented_files(self, archive_path, tmp_path, method):
+        # run_training's docstring lists these: sampler_weights.csv only for the
+        # start rules that hold weights, and a prefill run writes no buffer copy.
+        cfg = tiny_config(method, archive_path, t_max=200, eval_interval=200)
         run_training(cfg, out_dir=tmp_path / "run")
+        weighted = method in ("auxss", "uniform", "goaldist", "omega", "hysac-auxss")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-            "checkpoint.npz", "config.txt", "metrics.csv"]
+            "checkpoint.npz", "config.txt", "metrics.csv",
+            *(["sampler_weights.csv"] if weighted else [])]
 
     def test_geometry_mismatch_rejected(self, archive_path):
         from lavabridge.config import EnvSettings
@@ -254,16 +260,16 @@ class TestTrainingRun:
         ("uniform", UniformSampler, 0),
         ("goaldist", GoalDistSampler, 0),
         ("omega", SafetyWeightedSampler, 0),
-        ("sac", None, 0),
-        ("hysac", None, 400),  # the archive's transition count
+        ("sac", P0Start, 0),
+        ("hysac", P0Start, 400),  # the archive's transition count
         ("hysac-auxss", EpisodeLengthSampler, 400),
-        ("jsrl", None, 0),
+        ("jsrl", JumpStart, 0),
     ])
     def test_method_table_builds_start_rule_and_buffer(self, archive_path, method, sampler_cls,
                                                         prefix):
         # Building runs no episode; t_max=1 because GoalDistSampler rejects t_max=0.
         run = TrainingRun(tiny_config(method, archive_path, t_max=1))
-        assert type(run.sampler) is sampler_cls if sampler_cls else run.sampler is None
+        assert type(run.sampler) is sampler_cls
         assert run.buffer.frozen_prefix_len == prefix
         assert [r.step for r in run.evals] == [0]
 

@@ -208,8 +208,8 @@ class TestIsTerminal:
 
     def test_lava_center(self, env):
         rect = env.geometry.lava[0]
-        c = rect.center()
-        assert terminal(env, mk_state(c.x, c.y)) is Cause.LAVA
+        cx, cy = 0.5 * (rect.xmin + rect.xmax), 0.5 * (rect.ymin + rect.ymax)
+        assert terminal(env, mk_state(cx, cy)) is Cause.LAVA
 
     def test_p0_means_non_terminal(self, env):
         for mean, _std in env.geometry.start_blobs:

@@ -8,11 +8,10 @@ from lavabridge.learner import (
     DivergenceError,
     LearnerConfig,
     SACLearner,
-    jsrl_start_state,
     train_for_one_episode,
 )
 from lavabridge.replay import ReplayBuffer, prefill_demo
-from lavabridge.samplers import DemoStates
+from lavabridge.samplers import DemoStates, JumpStart
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
@@ -228,7 +227,7 @@ class TestTrainForOneEpisode:
         env = LavaBridgeEnv()
         learner = mk_learner(seed=8)
         buf = ReplayBuffer(capacity=64)
-        result = train_for_one_episode(env, mk_state(8.95, 5.0), learner, buf, env.horizon)
+        result = train_for_one_episode(env, mk_state(8.95, 5.0), learner, buf)
         assert result.length == 1
         assert result.ep_return == 1.0
         assert result.cause is Cause.GOAL
@@ -237,8 +236,7 @@ class TestTrainForOneEpisode:
         env = LavaBridgeEnv()
         learner = mk_learner(seed=9)
         buf = ReplayBuffer(capacity=64)
-        result = train_for_one_episode(env, mk_state(5.0, 4.7, 0.0, -2.0), learner, buf,
-                                       env.horizon)
+        result = train_for_one_episode(env, mk_state(5.0, 4.7, 0.0, -2.0), learner, buf)
         assert result.cause is Cause.LAVA
         assert result.ep_return == -1.0
         assert result.length <= 3
@@ -248,7 +246,7 @@ class TestTrainForOneEpisode:
         learner = mk_learner(seed=10)
         buf = ReplayBuffer(capacity=256)
         rng = np.random.default_rng(11)
-        result = train_for_one_episode(env, env.sample_start("p0", rng), learner, buf, 50)
+        result = train_for_one_episode(env, env.sample_start("p0", rng), learner, buf)
         assert 1 <= result.length <= 50
         assert buf.size == result.length
 
@@ -256,19 +254,19 @@ class TestTrainForOneEpisode:
         env = LavaBridgeEnv(horizon=5)
         learner = mk_learner(seed=12)
         buf = ReplayBuffer(capacity=64)
-        result = train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf, 5)
+        result = train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf)
         assert result.cause is Cause.TIMEOUT
         assert buf.dones[: buf.size].sum() == 0.0
 
     def test_updates_gated_on_online_samples(self):
-        env = LavaBridgeEnv(horizon=30)
+        env = LavaBridgeEnv(horizon=10)
         learner = mk_learner(seed=13, batch_size=16, buffer_capacity=128)
         buf = ReplayBuffer(capacity=128)
         s = np.tile(mk_state(1.0, 1.0), (32, 1))
         prefill_demo(buf, s, np.zeros((32, 2)), np.zeros(32), s, np.zeros(32))  # frozen rows only
-        train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf, 10)
+        train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf)
         assert learner.updates == 0  # only 10 online samples so far, batch is 16
-        train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf, 10)
+        train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf)
         assert learner.updates == 5  # online hits 16 at step 6 of the second episode
 
 
@@ -281,12 +279,21 @@ class TestJsrlStartState:
                 tids.append(tid)
         return DemoStates(states=np.array(states), trajectory_ids=np.array(tids))
 
+    def draw(self, demo, t, rng, t_max=1000, env=None):
+        """One start of a jump-start rule whose last observed clock is t."""
+        rule = JumpStart(demo, t_max, env or LavaBridgeEnv())
+        rule.observe(0, 1, Cause.TIMEOUT, t)
+        i, s = rule.sample(rng)
+        if i is not None:
+            assert np.array_equal(s, demo.states[i])
+        return s
+
     def test_t_zero_returns_trajectory_tail(self):
         demo = self.make_demo()
         rng = np.random.default_rng(14)
         tails = {tuple(demo.states[100]), tuple(demo.states[151])}
         for _ in range(20):
-            assert tuple(jsrl_start_state(demo, 0, 1000, rng)) in tails
+            assert tuple(self.draw(demo, 0, rng)) in tails
 
     def test_interleaved_trajectory_ids(self):
         # Rows are picked through trajectory_ids, not by position: trajectory
@@ -294,34 +301,48 @@ class TestJsrlStartState:
         states = np.array([mk_state(1.0 + 0.1 * i, 2.0) for i in range(6)])
         demo = DemoStates(states=states, trajectory_ids=np.array([1, 0, 1, 0, 1, 0]))
         rng = np.random.default_rng(0)
-        picks = {tuple(jsrl_start_state(demo, 0, 1000, rng)) for _ in range(20)}
+        picks = {tuple(self.draw(demo, 0, rng)) for _ in range(20)}
         assert picks == {tuple(states[4]), tuple(states[5])}
         rng = np.random.default_rng(0)
-        heads = {tuple(jsrl_start_state(demo, 999, 1000, rng)) for _ in range(20)}
+        heads = {tuple(self.draw(demo, 999, rng)) for _ in range(20)}
         assert heads == {tuple(states[0]), tuple(states[1])}
 
     def test_midpoint_index_arithmetic(self):
         demo = self.make_demo(lengths=(101,))
-        s = jsrl_start_state(demo, 500, 1000, np.random.default_rng(15))
+        s = self.draw(demo, 500, np.random.default_rng(15))
         assert np.array_equal(s, demo.states[50])
 
     def test_t_max_draws_from_p0(self):
         demo = self.make_demo()
         env = LavaBridgeEnv()
-        rng = np.random.default_rng(16)
-        s = jsrl_start_state(demo, 1000, 1000, rng, env=env)
+        s = self.draw(demo, 1000, np.random.default_rng(16), env=env)
         assert (s[2], s[3]) == (0.0, 0.0)
         assert min(abs(s[1] - 2.5), abs(s[1] - 7.5)) < 1.5
-
-    def test_t_max_without_env_rejected(self):
-        with pytest.raises(ValueError, match="p0"):
-            jsrl_start_state(self.make_demo(), 1000, 1000, np.random.default_rng(17))
+        assert np.array_equal(s, env.sample_start("p0", np.random.default_rng(16)))
 
     def test_handover_recedes_toward_head(self):
         demo = self.make_demo(lengths=(101,))
         rng = np.random.default_rng(18)
         idx = []
         for t in (0, 250, 500, 750, 999):
-            s = jsrl_start_state(demo, t, 1000, rng)
+            s = self.draw(demo, t, rng)
             idx.append(int(np.flatnonzero((demo.states == s).all(axis=1))[0]))
         assert idx == sorted(idx, reverse=True)
+
+    def test_clock_comes_from_the_last_observe(self):
+        demo = self.make_demo(lengths=(101,))
+        rule = JumpStart(demo, 1000, LavaBridgeEnv())
+        rng = np.random.default_rng(19)
+        assert rule.sample(rng)[0] == 100  # no episode observed yet: t = 0
+        rule.observe(100, 7, Cause.LAVA, 900)
+        rule.observe(100, 7, Cause.LAVA, 500)
+        assert rule.sample(rng)[0] == 50
+        rule.observe(50, 500, Cause.TIMEOUT, 1000)
+        assert rule.sample(rng)[0] is None
+
+    def test_zero_t_max_builds_and_draws_p0(self):
+        env = LavaBridgeEnv()
+        rule = JumpStart(self.make_demo(), 0, env)
+        i, s = rule.sample(np.random.default_rng(20))
+        assert i is None
+        assert np.array_equal(s, env.sample_start("p0", np.random.default_rng(20)))
