@@ -11,7 +11,7 @@ from .env import (
     Vec2,
     WorldGeometry,
 )
-from .samplers import DemoStates, SamplerConfig, SamplerWeights
+from .samplers import SamplerConfig, SamplerWeights
 from .safety import SafetyEstimate, estimate_safety
 from .replay import ReplayBuffer, prefill_demo
 from .learner import (

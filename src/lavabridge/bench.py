@@ -100,6 +100,7 @@ def evaluate(
     active = list(range(n_episodes))
     discount = 1.0
     transition = env.transition
+    none, goal = Cause.NONE, Cause.GOAL  # bound once: an enum member lookup is slow per row
     for _ in range(min(horizon, env.horizon)):
         if not active:
             break
@@ -107,10 +108,10 @@ def evaluate(
         running = []
         for i, (fx, fy) in zip(active, forces.tolist()):
             px, py, vx, vy, cause = transition(*states[i], fx, fy)
-            if cause is Cause.NONE:
+            if cause is none:
                 states[i] = (px, py, vx, vy)
                 running.append(i)
-            elif cause is Cause.GOAL:
+            elif cause is goal:
                 returns[i] += discount * env.goal_reward
                 successes += 1
             else:
@@ -132,7 +133,8 @@ def _demo_subset(cfg: RunConfig, archive):
 # Start rule of config.METHODS -> builder(cfg, env, archive) of its sampler.
 _START_RULES = {
     "p0": lambda cfg, env, archive: P0Start(env),
-    "jsrl": lambda cfg, env, archive: JumpStart(archive.demo_states(), cfg.t_max, env),
+    "jsrl": lambda cfg, env, archive: JumpStart(
+        [t.states[:-1] for t in archive.trajectories], cfg.t_max, env),
     "auxss": lambda cfg, env, archive: EpisodeLengthSampler(
         _demo_subset(cfg, archive), cfg.horizon, cfg.sampler),
     "uniform": lambda cfg, env, archive: UniformSampler(_demo_subset(cfg, archive)),
@@ -163,7 +165,7 @@ class TrainingRun:
             archive = load_archive(cfg.demo_archive, goal_reward=cfg.env.goal_reward,
                                    expected_geometry_hash=self.env.geometry_hash())
             # Every demo state is a future reset target; reject a bad one before any run starts.
-            self.env.check_states(archive.demo_states().states)
+            self.env.check_states(archive.demo_states())
 
         self.learner = SACLearner(cfg.learner, f_max=cfg.env.f_max,
                                   init_rng=substream(cfg.seed, "learner-init"),

@@ -31,7 +31,6 @@ import numpy as np
 
 from .env import Cause, LavaBridgeEnv, Vec2, WorldGeometry
 from .rngs import substream
-from .samplers import DemoStates
 
 __all__ = [
     "ArchiveFormatError",
@@ -134,19 +133,15 @@ class DemoArchive:
         trajs = self.trajectories
         dones = np.zeros(self.n_transitions)
         dones[np.cumsum([len(t) for t in trajs]) - 1] = 1.0  # each trajectory's last step
-        return (np.concatenate([t.states[:-1] for t in trajs]),
+        return (self.demo_states(),
                 np.concatenate([t.actions for t in trajs]),
                 np.concatenate([t.rewards for t in trajs]),
                 np.concatenate([t.states[1:] for t in trajs]),
                 dones)
 
-    def demo_states(self) -> DemoStates:
-        """Flattened view: the state each demo action was taken from."""
-        trajs = self.trajectories
-        return DemoStates(
-            states=np.concatenate([t.states[:-1] for t in trajs]),
-            trajectory_ids=np.concatenate([np.full(len(t), t.episode_id) for t in trajs]),
-        )
+    def demo_states(self) -> np.ndarray:
+        """The ``(n_transitions, 4)`` rows each demo action was taken from, in archive order."""
+        return np.concatenate([t.states[:-1] for t in self.trajectories])
 
 
 def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArchive:
@@ -199,8 +194,8 @@ def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArc
     )
 
 
-def subsample_states(archive: DemoArchive, m: int, seed: int) -> DemoStates:
-    """Uniform random subset (without replacement) of the flattened demo states.
+def subsample_states(archive: DemoArchive, m: int, seed: int) -> np.ndarray:
+    """Uniform random subset (without replacement) of the demo states, ``(m, 4)``.
 
     Selected indices are kept in archive order, so the subset is stable for a
     given seed regardless of how it is consumed.
@@ -210,7 +205,7 @@ def subsample_states(archive: DemoArchive, m: int, seed: int) -> DemoStates:
         raise ValueError(f"subset size {m} outside [1, {len(demo)}]")
     rng = substream(seed, "demo", 1)
     idx = np.sort(rng.choice(len(demo), size=m, replace=False))
-    return DemoStates(states=demo.states[idx], trajectory_ids=demo.trajectory_ids[idx])
+    return demo[idx]
 
 
 # -- archive file IO -----------------------------------------------------------

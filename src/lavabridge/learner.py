@@ -84,29 +84,27 @@ class LearnerConfig:
 class SACLearner:
     """Policy + twin critics + targets, with hand-rolled updates."""
 
+    state_dim, act_dim = 4, 2  # a state [px, py, vx, vy], a force (fx, fy)
+
     def __init__(
         self,
         cfg: LearnerConfig,
         init_rng: np.random.Generator,
         noise_rng: np.random.Generator,
-        state_dim: int = 4,
-        act_dim: int = 2,
         f_max: float = 1.0,
     ):
         self.cfg = cfg
-        self.state_dim = state_dim
-        self.act_dim = act_dim
         self.f_max = f_max
         self.noise_rng = noise_rng
         self.dtype = np.dtype(cfg.dtype)
 
-        pol_sizes = (state_dim, *cfg.hidden, 2 * act_dim)
-        q_sizes = (state_dim + act_dim, *cfg.hidden, 1)
+        pol_sizes = (self.state_dim, *cfg.hidden, 2 * self.act_dim)
+        q_sizes = (self.state_dim + self.act_dim, *cfg.hidden, 1)
         self.policy = MLP(pol_sizes, init_rng, dtype=self.dtype)
         self.q = MLP(q_sizes, init_rng, dtype=self.dtype, members=2)
         self.q_target = MLP(q_sizes, dtype=self.dtype, members=2)
         self.q_target.copy_from(self.q)
-        self.head = SquashedGaussianHead(act_dim, f_max, cfg.log_std_min, cfg.log_std_max)
+        self.head = SquashedGaussianHead(self.act_dim, f_max, cfg.log_std_min, cfg.log_std_max)
 
         self.policy_opt = Adam(self.policy, cfg.lr)
         self.q_opt = Adam(self.q, cfg.lr)

@@ -24,15 +24,14 @@ class ReplayBuffer:
     uniform over everything currently stored, frozen rows included.
     """
 
-    def __init__(self, capacity: int, state_dim: int = 4, act_dim: int = 2, dtype=np.float64):
+    def __init__(self, capacity: int, dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        sa = state_dim + act_dim
-        self.rows = np.zeros((capacity, 2 * state_dim + act_dim + 2), dtype=dtype)
-        self.states = self.rows[:, :state_dim]
-        self.actions = self.rows[:, state_dim:sa]
-        self.next_states = self.rows[:, sa:sa + state_dim]
+        self.rows = np.zeros((capacity, 12), dtype=dtype)
+        self.states = self.rows[:, :4]
+        self.actions = self.rows[:, 4:6]
+        self.next_states = self.rows[:, 6:10]
         self.rewards = self.rows[:, -2]
         self.dones = self.rows[:, -1]
         self.frozen_prefix_len = 0

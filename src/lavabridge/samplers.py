@@ -3,7 +3,7 @@
 Every rule draws a start by ``sample(rng) -> (i, s0)`` and takes its
 episode's feedback by ``observe(i, ep_len, cause, t)``. ``P0Start`` and
 ``JumpStart`` hold no weights. The samplers hold a weight vector ``W`` over
-a fixed archive of demo states (categorical sampling probability
+an ``(n, 4)`` float64 array of demo states (categorical sampling probability
 ``W[j] / sum(W)``) and may adjust it from episode feedback. Four flavors:
 
 * episode-length driven (``EpisodeLengthSampler``): after an episode started
@@ -30,7 +30,6 @@ from . import safety
 from .env import Cause, LavaBridgeEnv, Vec2
 
 __all__ = [
-    "DemoStates",
     "SamplerConfig",
     "SamplerWeights",
     "P0Start",
@@ -41,24 +40,6 @@ __all__ = [
     "GoalDistSampler",
     "SafetyWeightedSampler",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class DemoStates:
-    """Ordered demo states, ``(n, 4)`` float64, and the ``(n,)`` int ids of
-    the trajectories they came from."""
-
-    states: np.ndarray
-    trajectory_ids: np.ndarray
-
-    def __post_init__(self):
-        if len(self.states) == 0:
-            raise ValueError("demo state archive is empty")
-        if len(self.states) != len(self.trajectory_ids):
-            raise ValueError("states and trajectory_ids length mismatch")
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 @dataclass
@@ -128,26 +109,28 @@ class P0Start:
 class JumpStart(P0Start):
     """Receding-handover starts: late-trajectory states early in training.
 
-    Picks a demo trajectory uniformly and returns its state at fraction
-    h(t) = 1 - t / T_max of its length, t being the env-step clock of the last
-    ``observe`` (0 before it): tails first, heads last. At t >= T_max (every
-    draw if T_max = 0) the handover has receded and the draw is ``env``'s p0.
+    Picks one of ``trajectories`` (a ``(L_k, 4)`` state array each) uniformly
+    and returns its state at fraction h(t) = 1 - t / T_max of its length, and
+    that row's index in the trajectories laid end to end; t is the env-step
+    clock of the last ``observe`` (0 before it): tails first, heads last. At
+    t >= T_max (every draw if T_max = 0) the draw is ``env``'s p0.
     """
 
-    def __init__(self, demo: DemoStates, t_max: int, env: LavaBridgeEnv):
+    def __init__(self, trajectories: list[np.ndarray], t_max: int, env: LavaBridgeEnv):
         super().__init__(env)
-        self.demo = demo
+        self.trajectories = trajectories
+        self.offsets = np.cumsum([0, *map(len, trajectories)]).tolist()
         self.t_max = int(t_max)
         self.t = 0
 
     def sample(self, rng: np.random.Generator) -> tuple[int | None, np.ndarray]:
         if self.t >= self.t_max:
             return super().sample(rng)
-        tids = np.unique(self.demo.trajectory_ids)
-        rows = np.flatnonzero(self.demo.trajectory_ids == tids[int(rng.integers(len(tids)))])
+        k = int(rng.integers(len(self.trajectories)))
+        states = self.trajectories[k]
         h = 1.0 - self.t / self.t_max
-        i = int(rows[int(h * (len(rows) - 1))])
-        return i, self.demo.states[i]
+        j = int(h * (len(states) - 1))
+        return self.offsets[k] + j, states[j]
 
     def observe(self, i: int | None, ep_len: int, cause: Cause, t: int) -> None:
         self.t = t
@@ -160,14 +143,16 @@ class StartStateSampler:
     once in expectation.
     """
 
-    def __init__(self, demo: DemoStates):
+    def __init__(self, demo: np.ndarray):
+        if len(demo) == 0:
+            raise ValueError("demo state archive is empty")
         self.demo = demo
         self.weights = SamplerWeights(np.ones(len(demo), dtype=np.float64))
 
     def sample(self, rng: np.random.Generator) -> tuple[int, np.ndarray]:
         """Categorical draw: index j with probability W[j] / sum(W), and its ``(4,)`` state."""
         i = int(rng.choice(len(self.weights.w), p=self.weights.probabilities()))
-        return i, self.demo.states[i]
+        return i, self.demo[i]
 
     def observe(self, i: int, ep_len: int, cause: Cause, t: int) -> None:
         """Episode feedback; t is the cumulative env-step counter after the episode."""
@@ -177,14 +162,14 @@ class StartStateSampler:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "px", "py", "vx", "vy", "weight"])
-            for j, (s, w) in enumerate(zip(self.demo.states.tolist(), self.weights.w.tolist())):
+            for j, (s, w) in enumerate(zip(self.demo.tolist(), self.weights.w.tolist())):
                 writer.writerow([j, *(f"{v:.17g}" for v in s), f"{w:.17g}"])
 
 
 class EpisodeLengthSampler(StartStateSampler):
     """The adaptive sampler driven by episode length."""
 
-    def __init__(self, demo: DemoStates, horizon: int, cfg: SamplerConfig):
+    def __init__(self, demo: np.ndarray, horizon: int, cfg: SamplerConfig):
         super().__init__(demo)
         self.horizon = int(horizon)
         self.cfg = cfg
@@ -211,8 +196,7 @@ class EpisodeLengthSampler(StartStateSampler):
             target = max((self.horizon - ep_len) / self.horizon, cfg.delta)
         # Unit-peak Gaussian in scaled squared Euclidean distance over all 4 dims;
         # lambda[i] == 1 exactly, so the updated state lands on its target weight.
-        states = self.demo.states
-        diff = (states - states[i]) / np.asarray(cfg.scale, dtype=np.float64)
+        diff = (self.demo - self.demo[i]) / np.asarray(cfg.scale, dtype=np.float64)
         d2 = np.einsum("ij,ij->i", diff, diff)
         lam = np.exp(-d2 / (2.0 * cfg.sigma**2))
         self.weights = SamplerWeights((1.0 - lam) * self.weights.w + lam * target)
@@ -231,13 +215,13 @@ class GoalDistSampler(StartStateSampler):
     recomputed from the env-step clock, clamped to [0, T_max].
     """
 
-    def __init__(self, demo: DemoStates, goal: Vec2, t_max: int, cfg: SamplerConfig):
+    def __init__(self, demo: np.ndarray, goal: Vec2, t_max: int, cfg: SamplerConfig):
         super().__init__(demo)
         if t_max <= 0:
             raise ValueError("t_max must be positive")
         self.t_max = int(t_max)
         self.cfg = cfg
-        dist = np.hypot(demo.states[:, 0] - goal.x, demo.states[:, 1] - goal.y)
+        dist = np.hypot(demo[:, 0] - goal.x, demo[:, 1] - goal.y)
         self._dist = dist - dist.min()  # shifted so max weight is exactly 1
         self._anneal(0)
 
@@ -261,10 +245,10 @@ class SafetyWeightedSampler(StartStateSampler):
     every weight is 1.0 and omega samples exactly as the uniform sampler does.
     """
 
-    def __init__(self, demo: DemoStates, env, cfg: SamplerConfig, rng: np.random.Generator):
+    def __init__(self, demo: np.ndarray, env, cfg: SamplerConfig, rng: np.random.Generator):
         super().__init__(demo)
         policy = safety.uniform_random_policy(env.f_max)
-        omega = safety.estimate_safety(env, demo.states, policy, cfg.k_safety,
+        omega = safety.estimate_safety(env, demo, policy, cfg.k_safety,
                                        cfg.n_safety_rollouts, rng).value
         w = 1.0 / np.maximum(omega, cfg.epsilon)
         self.weights = SamplerWeights(w / w.max())

@@ -26,7 +26,8 @@ def test_every_module_all_resolves():
 
 def test_package_imports_only_numpy_and_the_standard_library():
     # The package depends on numpy alone: every import is relative, from the
-    # standard library or from numpy. learner must not reach into the start rules.
+    # standard library or from numpy. learner and demos must not reach into
+    # the start rules, nor the start rules into demos.
     src = Path(lavabridge.__file__).parent
     imports = {}
     for path in sorted(src.glob("*.py")):
@@ -44,4 +45,7 @@ def test_package_imports_only_numpy_and_the_standard_library():
             top = module.split(".")[0]
             assert level > 0 or top in sys.stdlib_module_names or top == "numpy", \
                 f"{name} imports {module}"
-    assert not [m for level, m in imports["learner.py"] if level and m.split(".")[0] == "samplers"]
+    for name, forbidden in (("learner.py", "samplers"), ("demos.py", "samplers"),
+                            ("samplers.py", "demos")):
+        assert not [m for level, m in imports[name] if level and m.split(".")[0] == forbidden], \
+            f"{name} imports {forbidden}"

@@ -79,7 +79,7 @@ class TestGenerateDemos:
 
     def test_all_states_pass_reset(self, demo_archive):
         env = LavaBridgeEnv()
-        for s in demo_archive.demo_states().states:
+        for s in demo_archive.demo_states():
             env.reset_to(s)
 
     def test_zero_transitions_rejected(self):
@@ -108,27 +108,25 @@ class TestSubsampleStates:
     def test_full_subset_is_identity_order(self, demo_archive):
         demo = demo_archive.demo_states()
         sub = subsample_states(demo_archive, demo_archive.n_transitions, seed=1)
-        assert np.array_equal(sub.states, demo.states)
-        assert np.array_equal(sub.trajectory_ids, demo.trajectory_ids)
+        assert np.array_equal(sub, demo)
 
     def test_150_unique_states(self, demo_archive):
         sub = subsample_states(demo_archive, 150, seed=2)
         assert len(sub) == 150
-        assert len(np.unique(sub.states, axis=0)) == 150
+        assert len(np.unique(sub, axis=0)) == 150
 
     def test_oversized_subset_rejected(self, demo_archive):
         with pytest.raises(ValueError):
             subsample_states(demo_archive, demo_archive.n_transitions + 1, seed=0)
 
     def test_seeds_give_different_subsets(self, demo_archive):
-        subs = [subsample_states(demo_archive, 50, seed=s).states.tobytes() for s in range(10)]
+        subs = [subsample_states(demo_archive, 50, seed=s).tobytes() for s in range(10)]
         assert len(set(subs)) == 10
 
     def test_same_seed_is_stable(self, demo_archive):
         a = subsample_states(demo_archive, 50, seed=3)
         b = subsample_states(demo_archive, 50, seed=3)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.trajectory_ids, b.trajectory_ids)
+        assert np.array_equal(a, b)
 
     def test_subsampling_is_roughly_uniform(self, demo_archive):
         # Frequency oracle: each flattened index should appear in ~m/n of subsets.
@@ -137,9 +135,9 @@ class TestSubsampleStates:
         draws = 200
         counts = np.zeros(n)
         demo = demo_archive.demo_states()
-        index_of = {s.tobytes(): i for i, s in enumerate(demo.states)}
+        index_of = {s.tobytes(): i for i, s in enumerate(demo)}
         for seed in range(draws):
-            for s in subsample_states(demo_archive, m, seed=seed).states:
+            for s in subsample_states(demo_archive, m, seed=seed):
                 counts[index_of[s.tobytes()]] += 1
         p = m / n
         sigma = np.sqrt(draws * p * (1 - p))

@@ -62,7 +62,7 @@ class TestResetTo:
     def test_state_equals_reset_row_bitwise(self, env, demo_archive):
         # A demo-state row, a sample_start draw and a row with -0.0 entries
         # all come back from env.state with the same bits.
-        rows = [demo_archive.demo_states().states[17], env.sample_start("ood", np.random.default_rng(0)),
+        rows = [demo_archive.demo_states()[17], env.sample_start("ood", np.random.default_rng(0)),
                 mk_state(2.0, 3.0, -0.0, 0.1 + 0.2)]
         for row in rows:
             env.reset_to(row)

@@ -11,7 +11,7 @@ from lavabridge.learner import (
     train_for_one_episode,
 )
 from lavabridge.replay import ReplayBuffer, prefill_demo
-from lavabridge.samplers import DemoStates, JumpStart
+from lavabridge.samplers import JumpStart
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
@@ -270,14 +270,22 @@ class TestTrainForOneEpisode:
         assert learner.updates == 5  # online hits 16 at step 6 of the second episode
 
 
+def id_scan_draw(states, ids, t, t_max, env, rng):
+    """The jump-start draw over flattened demo states and their per-row
+    trajectory ids: the rows of a uniformly drawn id, at fraction 1 - t/t_max."""
+    if t >= t_max:
+        return None, env.sample_start("p0", rng)
+    tids = np.unique(ids)
+    rows = np.flatnonzero(ids == tids[int(rng.integers(len(tids)))])
+    i = int(rows[int((1.0 - t / t_max) * (len(rows) - 1))])
+    return i, states[i]
+
+
 class TestJsrlStartState:
     def make_demo(self, lengths=(101, 51)):
-        states, tids = [], []
-        for tid, n in enumerate(lengths):
-            for i in range(n):
-                states.append(mk_state(1.0 + i * 0.01, 2.0 + tid))
-                tids.append(tid)
-        return DemoStates(states=np.array(states), trajectory_ids=np.array(tids))
+        """One (L, 4) state array per trajectory."""
+        return [np.array([mk_state(1.0 + i * 0.01, 2.0 + k) for i in range(n)])
+                for k, n in enumerate(lengths)]
 
     def draw(self, demo, t, rng, t_max=1000, env=None):
         """One start of a jump-start rule whose last observed clock is t."""
@@ -285,32 +293,36 @@ class TestJsrlStartState:
         rule.observe(0, 1, Cause.TIMEOUT, t)
         i, s = rule.sample(rng)
         if i is not None:
-            assert np.array_equal(s, demo.states[i])
+            assert np.array_equal(s, np.concatenate(demo)[i])
         return s
 
     def test_t_zero_returns_trajectory_tail(self):
         demo = self.make_demo()
         rng = np.random.default_rng(14)
-        tails = {tuple(demo.states[100]), tuple(demo.states[151])}
+        tails = {tuple(demo[0][100]), tuple(demo[1][50])}
         for _ in range(20):
             assert tuple(self.draw(demo, 0, rng)) in tails
 
-    def test_interleaved_trajectory_ids(self):
-        # Rows are picked through trajectory_ids, not by position: trajectory
-        # 1 is every other row here, and its tail is row 1 at t=0.
-        states = np.array([mk_state(1.0 + 0.1 * i, 2.0) for i in range(6)])
-        demo = DemoStates(states=states, trajectory_ids=np.array([1, 0, 1, 0, 1, 0]))
-        rng = np.random.default_rng(0)
-        picks = {tuple(self.draw(demo, 0, rng)) for _ in range(20)}
-        assert picks == {tuple(states[4]), tuple(states[5])}
-        rng = np.random.default_rng(0)
-        heads = {tuple(self.draw(demo, 999, rng)) for _ in range(20)}
-        assert heads == {tuple(states[0]), tuple(states[1])}
+    def test_draws_match_the_id_scan_oracle(self, demo_archive):
+        # The archive's last trajectory is head-trimmed, so lengths differ.
+        trajs = demo_archive.trajectories
+        assert len({len(t) for t in trajs}) > 1
+        ids = np.concatenate([np.full(len(t), t.episode_id) for t in trajs])
+        states = demo_archive.demo_states()
+        env = LavaBridgeEnv()
+        rule = JumpStart([t.states[:-1] for t in trajs], 1000, env)
+        rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for t in [*range(1000), 1000, 1500]:
+            rule.observe(0, 1, Cause.TIMEOUT, t)
+            i, s = rule.sample(rng)
+            want_i, want_s = id_scan_draw(states, ids, t, 1000, env, oracle_rng)
+            assert i == want_i and s.tobytes() == want_s.tobytes()
+            assert (i is None) == (t >= 1000)
 
     def test_midpoint_index_arithmetic(self):
         demo = self.make_demo(lengths=(101,))
         s = self.draw(demo, 500, np.random.default_rng(15))
-        assert np.array_equal(s, demo.states[50])
+        assert np.array_equal(s, demo[0][50])
 
     def test_t_max_draws_from_p0(self):
         demo = self.make_demo()
@@ -326,7 +338,7 @@ class TestJsrlStartState:
         idx = []
         for t in (0, 250, 500, 750, 999):
             s = self.draw(demo, t, rng)
-            idx.append(int(np.flatnonzero((demo.states == s).all(axis=1))[0]))
+            idx.append(int(np.flatnonzero((demo[0] == s).all(axis=1))[0]))
         assert idx == sorted(idx, reverse=True)
 
     def test_clock_comes_from_the_last_observe(self):

@@ -10,7 +10,6 @@ from lavabridge.bench import run_training
 from lavabridge.demos import save_archive
 from lavabridge.env import Cause, LavaBridgeEnv, Vec2
 from lavabridge.samplers import (
-    DemoStates,
     EpisodeLengthSampler,
     GoalDistSampler,
     SafetyWeightedSampler,
@@ -27,11 +26,8 @@ def mk_state(px, py, vx=0.0, vy=0.0):
     return [px, py, vx, vy]
 
 
-def mk_demo(states, tids=None):
-    if tids is None:
-        tids = [0] * len(states)
-    return DemoStates(states=np.array(states, dtype=np.float64).reshape(-1, 4),
-                      trajectory_ids=np.array(tids, dtype=np.int64))
+def mk_demo(states):
+    return np.array(states, dtype=np.float64).reshape(-1, 4)
 
 
 def weighted(w) -> UniformSampler:
@@ -43,7 +39,7 @@ def weighted(w) -> UniformSampler:
 
 def auxss_after(updates, demo=None, cfg=None, horizon=500) -> np.ndarray:
     """Weights of an episode-length sampler after (index, ep_len[, cause]) updates."""
-    sampler = EpisodeLengthSampler(demo or THREE, horizon=horizon, cfg=cfg or CFG)
+    sampler = EpisodeLengthSampler(THREE if demo is None else demo, horizon=horizon, cfg=cfg or CFG)
     for i, ep_len, *cause in updates:
         sampler.observe(i, ep_len, cause[0] if cause else Cause.TIMEOUT, 0)
     return sampler.weights.w
@@ -79,14 +75,10 @@ class TestInitWeights:
 
     def test_empty_archive_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mk_demo([])
+            StartStateSampler(mk_demo([]))
 
 
 class TestDemoStates:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            DemoStates(states=np.zeros((3, 4)), trajectory_ids=np.zeros(2, dtype=np.int64))
-
     def test_sample_returns_the_row_and_resets_to_it_bitwise(self, demo_archive):
         # The sampled state is the demo row itself; reset_to stores its bits.
         demo = demo_archive.demo_states()
@@ -95,9 +87,9 @@ class TestDemoStates:
         rng = np.random.default_rng(0)
         for _ in range(20):
             i, s = sampler.sample(rng)
-            assert s.tobytes() == demo.states[i].tobytes()
+            assert s.tobytes() == demo[i].tobytes()
             env.reset_to(s)
-            assert env.state.tobytes() == demo.states[i].tobytes()
+            assert env.state.tobytes() == demo[i].tobytes()
 
 
 class TestSampleIndex:
@@ -272,7 +264,7 @@ class TestOmegaWeights:
         from lavabridge import safety as safety_mod
 
         demo = mk_demo([mk_state(1.0, 1.0), mk_state(2.0, 2.0)])
-        fake = {demo.states[0].tobytes(): 1.0, demo.states[1].tobytes(): 0.5}
+        fake = {demo[0].tobytes(): 1.0, demo[1].tobytes(): 0.5}
 
         def fake_estimate(env, states, policy, k, n, rng, **kw):
             return safety_mod.SafetyEstimate(value=np.array([fake[s.tobytes()] for s in states]),
