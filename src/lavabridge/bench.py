@@ -26,11 +26,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .config import METHODS, RunConfig, needs_archive
+from .config import METHODS, RunConfig, format_value, needs_archive, parse_value
 from .demos import load_archive, subsample_states
 from .env import Cause, LavaBridgeEnv
 from .learner import SACLearner, train_for_one_episode
@@ -254,40 +255,25 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> Trainin
 # -- metrics files --------------------------------------------------------------
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, Cause):
-        return v.value
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for r in rows:
-            writer.writerow([_cell(getattr(r, name)) for name in METRICS_HEADER])
+            writer.writerow([format_value(getattr(r, name)) for name in METRICS_HEADER])
 
 
-def read_metrics_csv(path) -> list[dict]:
-    """Rows as dicts with numeric fields parsed; empty cells become None."""
-    out = []
+def read_metrics_csv(path) -> list[MetricsRow]:
+    """The ``MetricsRow``s of a metrics CSV, each cell parsed by its field's type hint:
+    empty is None, ``cause`` a ``Cause``. A row of the wrong length raises ``ValueError``."""
+    hints = get_type_hints(MetricsRow)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header in {path}: {reader.fieldnames}")
-        for row in reader:
-            parsed: dict = {}
-            for key in ("step", "episode", "ep_len"):
-                parsed[key] = int(row[key]) if row[key] else None
-            for key in ("ep_return", "id_success", "ood_success", "id_return", "ood_return"):
-                parsed[key] = float(row[key]) if row[key] else None
-            parsed["cause"] = row["cause"] or None
-            out.append(parsed)
-    return out
+        reader = csv.reader(fh)
+        if (header := next(reader, None)) != METRICS_HEADER:
+            raise ValueError(f"unexpected metrics header in {path}: {header}")
+        return [MetricsRow(**{k: parse_value(hints[k], v)
+                              for k, v in zip(METRICS_HEADER, cells, strict=True)})
+                for cells in reader]
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -314,8 +300,8 @@ def sweep(cfg: RunConfig, seeds, out_dir, jobs: int = 1, verbose: bool = False) 
     seeds = list(seeds)
     if not seeds:
         raise ValueError("sweep needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("sweep seeds must be distinct")
+    if len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise ValueError("sweep seeds must be distinct and >= 0")
     if jobs < 1:
         raise ValueError(f"sweep jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
@@ -364,7 +350,7 @@ def sweep(cfg: RunConfig, seeds, out_dir, jobs: int = 1, verbose: bool = False) 
             "id_return_median", "ood_return_median",
         ])
         for row in agg_rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([format_value(v) for v in row])
     return agg_path
 
 
@@ -375,26 +361,16 @@ def aggregate_runs(run_dirs, eval_interval: int) -> list[tuple]:
     checkpoint, so rows are aligned by the checkpoint they satisfied
     (floor(step / eval_interval) * eval_interval) before aggregating.
     """
-    per_cp: dict[int, dict[str, list[float]]] = {}
+    per_cp: dict[int, list[MetricsRow]] = {}
     for run_dir in run_dirs:
         for row in read_metrics_csv(Path(run_dir) / "metrics.csv"):
-            if row["id_success"] is None:
-                continue
-            cp = (row["step"] // eval_interval) * eval_interval
-            bucket = per_cp.setdefault(cp, {"id": [], "ood": [], "idr": [], "oodr": []})
-            bucket["id"].append(row["id_success"])
-            bucket["ood"].append(row["ood_success"])
-            bucket["idr"].append(row["id_return"])
-            bucket["oodr"].append(row["ood_return"])
+            if row.id_success is not None:
+                per_cp.setdefault((row.step // eval_interval) * eval_interval, []).append(row)
     rows = []
-    for cp in sorted(per_cp):
-        b = per_cp[cp]
-        idq = np.percentile(b["id"], [50, 25, 75])
-        oodq = np.percentile(b["ood"], [50, 25, 75])
-        rows.append((
-            cp, len(b["id"]),
-            float(idq[0]), float(idq[1]), float(idq[2]),
-            float(oodq[0]), float(oodq[1]), float(oodq[2]),
-            float(np.median(b["idr"])), float(np.median(b["oodr"])),
-        ))
+    for cp, b in sorted(per_cp.items()):
+        idq = np.percentile([r.id_success for r in b], [50, 25, 75])
+        oodq = np.percentile([r.ood_success for r in b], [50, 25, 75])
+        rows.append((cp, len(b), *idq.tolist(), *oodq.tolist(),
+                     float(np.median([r.id_return for r in b])),
+                     float(np.median([r.ood_return for r in b]))))
     return rows

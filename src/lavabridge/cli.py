@@ -24,15 +24,23 @@ from .rngs import substream
 from .safety import safety_field, save_safety_field_csv
 
 
-def _count(text: str) -> int:
-    """argparse type of the count flags: a positive integer, checked at parse time."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type of an integer flag that is at least ``low``, checked at parse time."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a non-negative integer")
 
 
 def _add_config_arg(p: argparse.ArgumentParser) -> None:
@@ -131,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-demos", help="generate scripted-expert demonstrations")
     p.add_argument("--n", type=_count, required=True, help="number of transitions to keep")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True)
     _add_config_arg(p)
     p.set_defaults(func=cmd_gen_demos)
 
     p = sub.add_parser("train", help="run one training job")
     _add_config_arg(p)
-    p.add_argument("--seed", type=int, default=None, help="override run.seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override run.seed")
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -147,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--dist", choices=("id", "ood"), default="id")
     p.add_argument("--episodes", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_config_arg(p)
     p.set_defaults(func=cmd_eval)
 
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_count, default=50, help="cells per axis")
     p.add_argument("--k", type=_count, default=4, help="rollout horizon")
     p.add_argument("--rollouts", type=_count, default=64, help="rollouts per cell")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True)
     _add_config_arg(p)
     p.set_defaults(func=cmd_safety_map)

@@ -36,6 +36,8 @@ __all__ = [
     "parse_kv_text",
     "load_run_config",
     "config_from_mapping",
+    "format_value",
+    "parse_value",
 ]
 
 # Method -> (start rule, prefill). The start rule is a key of bench._START_RULES;
@@ -119,8 +121,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {tuple(METHODS)}")
         if needs_archive(self.method) and not self.demo_archive:
             raise ValueError(f"method {self.method!r} requires run.demo_archive")
-        if self.horizon < 1 or self.t_max < 0:
-            raise ValueError("horizon must be >= 1 and t_max >= 0")
+        if self.horizon < 1 or self.t_max < 0 or self.seed < 0:
+            raise ValueError("horizon must be >= 1, t_max >= 0 and seed >= 0")
         if self.method == "goaldist" and self.t_max == 0:
             raise ValueError("method 'goaldist' needs t_max > 0: it anneals over t_max steps")
         if self.eval_interval < 1 or self.eval_episodes < 1:
@@ -135,7 +137,7 @@ class RunConfig:
     def _written(self) -> list[tuple[str, str]]:
         """(``section.name``, value text) for every field, run keys first."""
         objs = {"run": self, **{name: getattr(self, name) for name in _section_types()}}
-        return [(f"{section}.{f.name}", _format(getattr(obj, f.name)))
+        return [(f"{section}.{f.name}", format_value(getattr(obj, f.name)))
                 for section, obj in objs.items() for f in fields(obj) if f.name not in objs]
 
     def to_text(self) -> str:
@@ -149,14 +151,14 @@ def _section_types() -> dict[str, type]:
     return {f.name: hints[f.name] for f in fields(RunConfig) if is_dataclass(hints[f.name])}
 
 
-def _format(value) -> str:
+def format_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
         sep = " ; " if value and isinstance(value[0], tuple) else ","
-        return sep.join(_format(v) for v in value)
+        return sep.join(format_value(v) for v in value)
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
@@ -164,8 +166,8 @@ _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 
 
-def _parse(hint, text: str):
-    """Parse ``text`` as a value of type ``hint``.
+def parse_value(hint, text: str):
+    """Parse ``text`` as a value of type ``hint``; the inverse of ``format_value``.
 
     ``tuple[X, ...]`` splits on ``,`` (on ``;`` when X is itself a tuple);
     a fixed-length tuple hint also checks the number of parts.
@@ -176,15 +178,15 @@ def _parse(hint, text: str):
         sep = ";" if get_origin(args[0]) is tuple else ","
         parts = [p for p in text.split(sep) if p.strip()]
         if args[-1] is Ellipsis:
-            return tuple(_parse(args[0], p) for p in parts)
+            return tuple(parse_value(args[0], p) for p in parts)
         if len(parts) != len(args):
             raise ValueError(f"expected {len(args)} values, got {len(parts)} in {text!r}")
-        return tuple(_parse(a, p) for a, p in zip(args, parts))
+        return tuple(parse_value(a, p) for a, p in zip(args, parts))
     if type(None) in args:  # ``X | None``: empty means None
         if not text:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return _parse(inner, text)
+        return parse_value(inner, text)
     if hint is bool:
         if text.lower() not in _BOOLS:
             raise ValueError(f"not a boolean: {text!r}")
@@ -215,7 +217,7 @@ def _build(cls, section: str, raw: dict[str, str], **kw):
         if name not in names:
             raise ValueError(f"unknown config key {key!r}")
         try:
-            kw[name] = _parse(hints[name], text)
+            kw[name] = parse_value(hints[name], text)
         except ValueError as exc:
             raise ValueError(f"config key {key}: {exc}") from None
     return cls(**kw)

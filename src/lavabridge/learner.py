@@ -183,13 +183,13 @@ class SACLearner:
 
                 # Twin critic regression on the [s | a] columns of the packed rows,
                 # then a reparameterized policy step against the updated critics.
-                critic_loss, qg = self.critic_loss_and_grads(buffer.state_actions(rows), None, y)
+                critic_loss, qg = self.critic_loss_and_grads(buffer.state_actions(rows), y)
                 self.q_opt.step(qg)
 
                 half = slice(batch, 2 * batch)
                 actor = (MLP.cache_rows(pc, half), a_pi[half], logp[half],
                          tuple(c[half] for c in head_cache))
-                policy_loss, pg, logp_s = self.policy_loss_and_grads(s, xi[half], actor)
+                policy_loss, pg, logp_s = self.policy_loss_and_grads(s, actor)
                 self.policy_opt.step(pg)
 
                 ema_update(self.q_target, self.q, cfg.tau)
@@ -208,17 +208,13 @@ class SACLearner:
             "entropy": entropy,
         }
 
-    def critic_loss_and_grads(self, s: np.ndarray, a: np.ndarray | None, y: np.ndarray):
-        """Summed twin MSE toward fixed targets; one flat gradient for the pair.
-
-        With ``a=None``, ``s`` already holds the state-action columns
-        [s | a], as a view of packed replay rows does.
-        """
+    def critic_loss_and_grads(self, sa: np.ndarray, y: np.ndarray):
+        """Summed twin MSE of the critics on state-action rows ``sa`` = [s | a]
+        toward fixed targets ``y``; one flat gradient for the pair."""
         dt = self.dtype
-        s = np.asarray(s, dtype=dt)
+        sa = np.asarray(sa, dtype=dt)
         y = np.asarray(y, dtype=dt)
-        batch = s.shape[0]
-        sa = s if a is None else np.concatenate([s, np.asarray(a, dtype=dt)], axis=1)
+        batch = sa.shape[0]
         qq, cache = self.q.forward(sa)
         err = qq[:, :, 0] - y  # (2, batch)
         # add.reduce(x) / n is np.mean(x) bit for bit, without mean's wrapper.
@@ -226,21 +222,14 @@ class SACLearner:
         grad, _ = self.q.backward(cache, (2.0 / batch) * err[:, :, None], input_cols=None)
         return loss, grad
 
-    def policy_loss_and_grads(self, s: np.ndarray, xi: np.ndarray, actor=None):
-        """mean(alpha * log pi - min twin Q) under fixed reparameterization
-        noise ``xi``; returns (loss, flat policy gradient, per-sample log-probs).
-
-        ``actor`` is (policy cache, action, log-prob, head cache) of an actor
-        pass already made over ``s`` with noise ``xi``; the pass is made here
-        when it is omitted.
-        """
+    def policy_loss_and_grads(self, s: np.ndarray, actor):
+        """mean(alpha * log pi - min twin Q) of the reparameterized actor pass
+        ``actor`` = (policy cache, action, log-prob, head cache) made over
+        ``s``; returns (loss, flat policy gradient, per-sample log-probs)."""
         dt = self.dtype
         s = np.asarray(s, dtype=dt)
         batch = s.shape[0]
         alpha = self.cfg.alpha
-        if actor is None:
-            out, pc = self.policy.forward(s)
-            actor = (pc, *self.head.sample(out[0], np.asarray(xi, dtype=dt)))
         pc, a_new, logp, head_cache = actor
         sa_new = np.concatenate([s, a_new], axis=1)
         qq, qc = self.q.forward(sa_new)

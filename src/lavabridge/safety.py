@@ -2,11 +2,10 @@
 
 The safety of a state is the probability, under a given policy, that a
 rollout of at most ``k`` steps avoids hazardous termination. Lava counts as
-unsafe; reaching the goal inside the window counts as safe by default (the
-hazard signal we care about is failure, not success), switchable via
-``goal_unsafe``. With an absorbing terminal simulator, flagging lava at any
-step within the window is equivalent to evaluating the terminal indicator at
-the window's final state.
+unsafe; reaching the goal inside the window counts as safe (the hazard
+signal we care about is failure, not success). With an absorbing terminal
+simulator, flagging lava at any step within the window is equivalent to
+evaluating the terminal indicator at the window's final state.
 
 ``estimate_safety`` takes states as an ``(S, 4)`` array of ``[px, py, vx,
 vy]`` rows. One array pass checks them all before any rollout and raises for
@@ -81,8 +80,6 @@ def estimate_safety(
     k: int,
     n: int,
     rng: np.random.Generator,
-    *,
-    goal_unsafe: bool = False,
 ) -> SafetyEstimate:
     """Monte Carlo safety of each ``(4,)`` row of ``states`` from ``n`` independent k-step rollouts.
 
@@ -118,9 +115,8 @@ def estimate_safety(
         for _ in range(steps):
             # Finished rows keep stepping; the alive mask discards their outcomes.
             x, lava, goal = env.step_batch(x, policy(x, block_rng))
-            ended = lava | goal
-            unsafe |= alive & (ended if goal_unsafe else lava)
-            alive &= ~ended
+            unsafe |= alive & lava
+            alive &= ~(lava | goal)
             if not alive.any():
                 break
         unsafe_counts[b:b + per_block] = unsafe.reshape(-1, n).sum(axis=1)
@@ -134,9 +130,9 @@ def safety_field(
     rng: np.random.Generator,
     nx: int = 50,
     ny: int = 50,
-    policy=None,
 ) -> list[tuple[float, float, float]]:
-    """Sample safety of at-rest states over an nx x ny position grid.
+    """Safety of at-rest states over an nx x ny position grid under
+    ``uniform_random_policy(env.f_max)``.
 
     Terminal cells are reported directly: 0.0 for lava, 1.0 for the goal disc.
     The open cells are estimated in one ``estimate_safety`` call, in row-major
@@ -144,8 +140,6 @@ def safety_field(
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"grid must be at least 1 x 1, got {nx} x {ny}")
-    if policy is None:
-        policy = uniform_random_policy(env.f_max)
     geo = env.geometry
     cells = np.zeros((nx * ny, 4))
     cells[:, 0] = np.tile(np.linspace(geo.world.xmin, geo.world.xmax, nx), ny)
@@ -153,6 +147,7 @@ def safety_field(
     lava, goal = geo.terminal_masks(cells[:, 0], cells[:, 1])
     open_cells = ~(lava | goal)
     omega = np.where(lava, 0.0, 1.0)
+    policy = uniform_random_policy(env.f_max)
     omega[open_cells] = estimate_safety(env, cells[open_cells], policy, k, n, rng).value
     return list(zip(cells[:, 0].tolist(), cells[:, 1].tolist(), omega.tolist()))
 

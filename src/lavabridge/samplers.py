@@ -76,8 +76,8 @@ class SamplerConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        if min(self.scale) <= 0.0:
-            raise ValueError("scale entries must be positive")
+        if len(self.scale) != 4 or min(self.scale) <= 0.0:
+            raise ValueError(f"scale must be 4 positive entries, got {self.scale}")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if not self.tau0 > 0.0:

@@ -205,11 +205,12 @@ class TestRunTraining:
         # run_training's docstring lists these: sampler_weights.csv only for the
         # start rules that hold weights, and a prefill run writes no buffer copy.
         cfg = tiny_config(method, archive_path, t_max=200, eval_interval=200)
-        run_training(cfg, out_dir=tmp_path / "run")
+        run = run_training(cfg, out_dir=tmp_path / "run")
         weighted = method in ("auxss", "uniform", "goaldist", "omega", "hysac-auxss")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
             "checkpoint.npz", "config.txt", "metrics.csv",
             *(["sampler_weights.csv"] if weighted else [])]
+        assert read_metrics_csv(tmp_path / "run" / "metrics.csv") == run.rows
 
     def test_geometry_mismatch_rejected(self, archive_path):
         from lavabridge.config import EnvSettings
@@ -332,19 +333,35 @@ class TestMetricsCsv:
         assert lines[2].endswith(",,,,")
 
     def test_round_trip(self, tmp_path):
-        from lavabridge.env import Cause
-        rows = [
-            MetricsRow(step=0, episode=0, id_success=0.5, ood_success=0.25,
-                       id_return=0.125, ood_return=-0.5),
-            MetricsRow(step=9, episode=1, ep_len=9, ep_return=1.0, cause=Cause.GOAL),
-        ]
+        rows = [MetricsRow(step=0, episode=0, id_success=0.5, ood_success=0.25,
+                           id_return=0.125, ood_return=-0.5)]
+        for i, cause in enumerate(Cause, start=1):
+            rows.append(MetricsRow(step=9 * i, episode=i, ep_len=9, ep_return=0.1 * i - 1.0,
+                                   cause=cause, id_success=1 / 3 if i == 2 else None,
+                                   ood_success=0.0 if i == 2 else None))
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, rows)
         parsed = read_metrics_csv(path)
-        assert parsed[0]["id_success"] == 0.5
-        assert parsed[0]["ep_len"] is None
-        assert parsed[1]["cause"] == "goal"
-        assert parsed[1]["step"] == 9
+        assert parsed == rows
+        assert [type(r.cause) for r in parsed[1:]] == [Cause] * len(Cause)
+        assert type(parsed[0].step) is int and parsed[0].ep_len is None
+
+    @pytest.mark.parametrize("line", ["9,1,9,1.0,goal,,,", "9,1,9,1.0,goal,,,,,"])
+    def test_row_of_the_wrong_length_rejected(self, tmp_path, line):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [])
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError):  # every cell parses: only the count is wrong
+            read_metrics_csv(path)
+
+    def test_unknown_cause_rejected(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [])
+        with open(path, "a") as fh:
+            fh.write("9,1,9,1.0,fire,,,,\n")
+        with pytest.raises(ValueError, match="fire"):
+            read_metrics_csv(path)
 
 
 class TestAggregation:

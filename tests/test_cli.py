@@ -172,9 +172,35 @@ def test_count_flags_rejected_at_parse_time(argv, tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-demos", "--n", "10", "--seed", "-1", "--out", "d.csv"],
+    ["train", "--seed", "-1", "--out-dir", "r"],
+    ["eval", "--checkpoint", "c.npz", "--seed", "-1"],
+    ["safety-map", "--seed", "-1", "--out", "f.csv"],
+    ["safety-map", "--seed", "one", "--out", "f.csv"],
+])
+def test_seed_flags_rejected_at_parse_time(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_with_a_negative_seed_starts_no_job(workdir, tmp_path):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text() + "run.seed = -1\n")
+    with pytest.raises(ValueError, match="seed"):
+        main(["sweep", "--config", str(cfg), "--seeds", "2", "--out-dir",
+              str(tmp_path / "sweep"), "--quiet"])
+    assert not list(tmp_path.glob("**/seed_*"))
+
+
 @pytest.mark.parametrize("seeds, jobs, match", [
     ([], 1, "at least one seed"),
     ([0, 1], 0, "jobs must be >= 1"),
+    ([-1], 1, ">= 0"),
 ])
 def test_sweep_rejects_empty_seeds_and_zero_jobs(seeds, jobs, match, tmp_path):
     with pytest.raises(ValueError, match=match):

@@ -258,6 +258,7 @@ class TestValidation:
         ("env.goal_radius", "0"),
         ("env.lava", "9,9,11,10"),         # a lava rectangle outside the world
         ("run.demo_subset", "0"),
+        ("run.seed", "-1"),                # failed only while the run was built
         ("run.demo_archive", "runs/#1/demos.csv"),  # would reload cut at the comment
         ("run.demo_archive", "runs/a\nb.csv"),
         ("sampler.kind", "a#b"),

@@ -112,14 +112,14 @@ def test_losses_equal_np_mean_forms(dtype):
 
     err = learner.q.forward(np.concatenate([s, a], axis=1))[0][:, :, 0] - y
     critic_want = float(np.mean(err[0] ** 2) + np.mean(err[1] ** 2))
-    out, _ = learner.policy.forward(s)
-    a_new, logp, _ = learner.head.sample(out[0], xi)
+    out, pc = learner.policy.forward(s)
+    a_new, logp, head_cache = learner.head.sample(out[0], xi)
     qq, _ = learner.q.forward(np.concatenate([s, a_new], axis=1))
     q_min = np.where(qq[0, :, 0] <= qq[1, :, 0], qq[0, :, 0], qq[1, :, 0])
     policy_want = float(np.mean(learner.cfg.alpha * logp - q_min))
 
-    assert learner.critic_loss_and_grads(s, a, y)[0] == critic_want
-    assert learner.policy_loss_and_grads(s, xi)[0] == policy_want
+    assert learner.critic_loss_and_grads(np.concatenate([s, a], 1), y)[0] == critic_want
+    assert learner.policy_loss_and_grads(s, (pc, a_new, logp, head_cache))[0] == policy_want
 
 
 class TestUpdateStep:

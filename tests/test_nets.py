@@ -275,6 +275,11 @@ def make_learner(hidden=(8, 8), alpha=0.2, seed=3):
     return SACLearner(cfg, init_rng=rng, noise_rng=np.random.default_rng(seed + 1))
 
 
+def actor_pass(learner, s, xi):
+    out, pc = learner.policy.forward(s)
+    return (pc, *learner.head.sample(out[0], xi))
+
+
 class TestGradientChecks:
     """Analytic gradients of the actual update losses vs central differences."""
 
@@ -285,9 +290,10 @@ class TestGradientChecks:
         a = rng.uniform(-1, 1, size=(16, 2))
         y = rng.standard_normal(16)
 
-        _, grad = learner.critic_loss_and_grads(s, a, y)
+        sa = np.concatenate([s, a], 1)
+        _, grad = learner.critic_loss_and_grads(sa, y)
         for member in (0, 1):
-            numeric = central_diff(lambda: learner.critic_loss_and_grads(s, a, y)[0],
+            numeric = central_diff(lambda: learner.critic_loss_and_grads(sa, y)[0],
                                    learner.q.member_params(member))
             analytic = learner.q.member_params(member, grad)
             assert max_rel_error(analytic, numeric) <= TOL
@@ -305,9 +311,10 @@ class TestGradientChecks:
         qq = learner.q.forward(sa)[0]
         assert np.min(np.abs(qq[0, :, 0] - qq[1, :, 0])) > 1e-3
 
-        _, grads, _ = learner.policy_loss_and_grads(s, xi)
-        numeric = central_diff(lambda: learner.policy_loss_and_grads(s, xi)[0],
-                               learner.policy.member_params(0))
+        _, grads, _ = learner.policy_loss_and_grads(s, actor_pass(learner, s, xi))
+        numeric = central_diff(
+            lambda: learner.policy_loss_and_grads(s, actor_pass(learner, s, xi))[0],
+            learner.policy.member_params(0))
         assert max_rel_error(learner.policy.member_params(0, grads), numeric) <= TOL
 
     def test_policy_gradients_small_alpha(self):
@@ -315,7 +322,8 @@ class TestGradientChecks:
         rng = np.random.default_rng(7)
         s = rng.uniform(0, 10, size=(8, 4))
         xi = rng.standard_normal((8, 2))
-        _, grads, _ = learner.policy_loss_and_grads(s, xi)
-        numeric = central_diff(lambda: learner.policy_loss_and_grads(s, xi)[0],
-                               learner.policy.member_params(0))
+        _, grads, _ = learner.policy_loss_and_grads(s, actor_pass(learner, s, xi))
+        numeric = central_diff(
+            lambda: learner.policy_loss_and_grads(s, actor_pass(learner, s, xi))[0],
+            learner.policy.member_params(0))
         assert max_rel_error(learner.policy.member_params(0, grads), numeric) <= TOL

@@ -162,9 +162,6 @@ class TestEstimateSafety:
         policy = uniform_random_policy(env.f_max)
         est = estimate_safety(env, [s], policy, k=2, n=64, rng=np.random.default_rng(8))
         assert est.value.tolist() == [1.0]
-        flipped = estimate_safety(env, [s], policy, k=2, n=64, rng=np.random.default_rng(8),
-                                  goal_unsafe=True)
-        assert flipped.value.tolist() == [0.0]
 
 
 class TestBruteForce:

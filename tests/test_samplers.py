@@ -354,3 +354,10 @@ class TestSamplerConfigValidation:
     def test_temperatures_ordered(self):
         with pytest.raises(ValueError):
             SamplerConfig(tau0=5.0, tau1=0.5)
+
+    @pytest.mark.parametrize("scale", [(1.0, 1.0), (), (1.0,) * 5])
+    def test_scale_needs_one_entry_per_state_column(self, scale):
+        # (1.0, 1.0) was accepted and broke the first auxss observe with a
+        # numpy broadcast error, after the step-0 evaluation.
+        with pytest.raises(ValueError, match="scale"):
+            SamplerConfig(scale=scale)

@@ -220,10 +220,10 @@ def recorded_update(learner, buffer, rng, critic_after=None):
     critic_fn, policy_fn = learner.critic_loss_and_grads, learner.policy_loss_and_grads
     q_step, p_step = learner.q_opt.step, learner.policy_opt.step
 
-    def critic(s, a, y):
+    def critic(*args):
         rec["calls"].append("critic")
-        rec["y"] = np.array(y)
-        return critic_fn(s, a, y)
+        rec["y"] = np.array(args[-1])
+        return critic_fn(*args)
 
     def policy(*args):
         rec["calls"].append("policy")
