@@ -265,15 +265,23 @@ def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
 
 def read_metrics_csv(path) -> list[MetricsRow]:
     """The ``MetricsRow``s of a metrics CSV, each cell parsed by its field's type hint:
-    empty is None, ``cause`` a ``Cause``. A row of the wrong length raises ``ValueError``."""
+    empty is None, ``cause`` a ``Cause``. A row of the wrong length or a cell that
+    does not parse raises ``ValueError`` naming the path and line."""
     hints = get_type_hints(MetricsRow)
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if (header := next(reader, None)) != METRICS_HEADER:
             raise ValueError(f"unexpected metrics header in {path}: {header}")
-        return [MetricsRow(**{k: parse_value(hints[k], v)
-                              for k, v in zip(METRICS_HEADER, cells, strict=True)})
-                for cells in reader]
+        for cells in reader:
+            try:
+                if len(cells) != len(METRICS_HEADER):
+                    raise ValueError(f"{len(cells)} cells, expected {len(METRICS_HEADER)}")
+                rows.append(MetricsRow(**{k: parse_value(hints[k], v)
+                                          for k, v in zip(METRICS_HEADER, cells)}))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {reader.line_num}: {e}") from e
+    return rows
 
 
 # -- sweeps -----------------------------------------------------------------------

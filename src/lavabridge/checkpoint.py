@@ -27,6 +27,8 @@ def load_checkpoint(path) -> dict[str, list[np.ndarray]]:
     with np.load(path, allow_pickle=False) as data:
         for key in data.files:
             name, _, i = key.rpartition("/")
+            if not (name and i.isdecimal()):
+                raise ValueError(f"{path}: key {key!r} is not of the form name/i, e.g. 'policy/0'")
             networks.setdefault(name, {})[int(i)] = data[key]
     for name, arrays in networks.items():
         if sorted(arrays) != list(range(len(arrays))):

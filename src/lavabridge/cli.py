@@ -5,7 +5,9 @@ Subcommands:
     train        run one seeded training job
     eval         score a run's checkpoint.npz from the ID or OOD start set
     sweep        run a config across seeds in parallel and aggregate
-    safety-map   dump a Monte Carlo safety field over a position grid
+    safety-map   dump a Monte Carlo safety field over a position grid; the
+                 rollout horizon and count are the config's sampler.k_safety
+                 and sampler.n_safety_rollouts
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def cmd_safety_map(args) -> int:
     cfg = load_run_config(args.config, {"run.method": "sac"})
     env = cfg.env.build(cfg.horizon)
     rng = substream(args.seed, "sampler", 2)
-    rows = safety_field(env, args.k, args.rollouts, rng, nx=args.grid, ny=args.grid)
+    rows = safety_field(env, cfg.sampler.k_safety, cfg.sampler.n_safety_rollouts, rng,
+                        nx=args.grid, ny=args.grid)
     save_safety_field_csv(args.out, rows)
     print(f"wrote {len(rows)} cells to {args.out}")
     return 0
@@ -167,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("safety-map", help="dump a safety field CSV")
+    about = ("dump a safety field CSV; the rollout horizon and count come from --config "
+             "(sampler.k_safety, sampler.n_safety_rollouts)")
+    p = sub.add_parser("safety-map", help=about, description=about)
     p.add_argument("--grid", type=_count, default=50, help="cells per axis")
-    p.add_argument("--k", type=_count, default=4, help="rollout horizon")
-    p.add_argument("--rollouts", type=_count, default=64, help="rollouts per cell")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True)
     _add_config_arg(p)

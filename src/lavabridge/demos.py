@@ -63,13 +63,7 @@ def _waypoints(geometry: WorldGeometry) -> tuple[Vec2, ...]:
     return (Vec2(4.0, 5.0), Vec2(6.0, 5.0), geometry.goal_center)
 
 
-def scripted_expert(
-    state,
-    geometry: WorldGeometry,
-    k_p: float = EXPERT_KP,
-    k_d: float = EXPERT_KD,
-    f_max: float = 1.0,
-) -> tuple[float, float]:
+def scripted_expert(state, geometry: WorldGeometry, f_max: float = 1.0) -> tuple[float, float]:
     """PD force pair ``(fx, fy)`` toward the active waypoint, for a ``(4,)`` state.
 
     A waypoint counts as passed once the agent is within WAYPOINT_RADIUS of
@@ -85,8 +79,8 @@ def scripted_expert(
             break
     if target is None:
         target = geometry.goal_center
-    fx = k_p * (target.x - px) - k_d * vx
-    fy = k_p * (target.y - py) - k_d * vy
+    fx = EXPERT_KP * (target.x - px) - EXPERT_KD * vx
+    fy = EXPERT_KP * (target.y - py) - EXPERT_KD * vy
     return max(-f_max, min(f_max, fx)), max(-f_max, min(f_max, fy))
 
 
@@ -184,9 +178,7 @@ def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArc
         collected += len(rewards)
     excess = collected - n_transitions
     if excess:
-        last = trajectories[-1]
-        if excess >= len(last):
-            raise RuntimeError("trim bookkeeping error")  # cannot happen: previous total < n
+        last = trajectories[-1]  # previous total < n, so excess < len(last)
         trajectories[-1] = DemoTrajectory(last.episode_id, last.states[excess:],
                                           last.actions[excess:], last.rewards[excess:])
     return DemoArchive(

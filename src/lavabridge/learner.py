@@ -112,9 +112,7 @@ class SACLearner:
 
     # -- acting ---------------------------------------------------------------
 
-    def act(
-        self, state, stochastic: bool, rng: np.random.Generator | None = None
-    ) -> tuple[float, float]:
+    def act(self, state, stochastic: bool) -> tuple[float, float]:
         """Force pair ``(fx, fy)`` for one ``(4,)`` state.
 
         Deterministic mode takes the squashed mean. The state is float64, so
@@ -125,8 +123,7 @@ class SACLearner:
         if not np.isfinite(out).all():
             raise DivergenceError("policy network produced non-finite output")
         if stochastic:
-            rng = rng if rng is not None else self.noise_rng
-            xi = rng.standard_normal((1, self.act_dim))
+            xi = self.noise_rng.standard_normal((1, self.act_dim))
             a = self.head.action(out, xi)
         else:
             a = self.head.mean_action(out)
@@ -150,7 +147,7 @@ class SACLearner:
 
     # -- updates ----------------------------------------------------------------
 
-    def update_step(self, buffer: ReplayBuffer, rng: np.random.Generator | None = None) -> dict:
+    def update_step(self, buffer: ReplayBuffer) -> dict:
         """One gradient step on both critics, the policy, and the targets.
 
         Critic targets are r + gamma * (1 - done) * (min twin target Q of the
@@ -162,7 +159,7 @@ class SACLearner:
         """
         cfg = self.cfg
         dt = self.dtype
-        rng = rng if rng is not None else self.noise_rng
+        rng = self.noise_rng
         batch = cfg.batch_size
         try:
             # A float32 pre-activation beyond ~1.8e19 overflows z * z, and the

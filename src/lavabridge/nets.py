@@ -216,13 +216,11 @@ class Adam:
     ``step`` works in two preallocated buffers and makes no temporaries.
     """
 
-    def __init__(self, net: MLP, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's published defaults
+
+    def __init__(self, net: MLP, lr: float):
         self.net = net
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
         self.t = 0
@@ -272,9 +270,6 @@ class SquashedGaussianHead:
 
     def split(self, out: np.ndarray):
         return out[:, : self.act_dim], out[:, self.act_dim :]
-
-    def log_std(self, raw: np.ndarray) -> np.ndarray:
-        return self.lo + self.half_span * (np.tanh(raw) + 1.0)
 
     def _squash(self, out: np.ndarray, xi: np.ndarray):
         """The action a_max * tanh(mu + std * xi) and the (log_std, std, u, t_u, t_raw) behind it."""

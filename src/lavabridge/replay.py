@@ -42,10 +42,6 @@ class ReplayBuffer:
         return self._size
 
     @property
-    def size(self) -> int:
-        return self._size
-
-    @property
     def online_size(self) -> int:
         """Insertions currently stored outside the frozen prefix."""
         return self._size - self.frozen_prefix_len
@@ -90,7 +86,7 @@ def prefill_demo(buffer: ReplayBuffer, states, actions, rewards, next_states, do
     Must be called on a fresh buffer; the prefix is never evicted afterwards.
     """
     n = len(rewards)
-    if buffer.size != 0 or buffer.frozen_prefix_len != 0:
+    if len(buffer) != 0 or buffer.frozen_prefix_len != 0:
         raise ValueError("prefill requires an empty buffer")
     if n > buffer.capacity:
         raise ValueError(f"{n} demo transitions exceed capacity {buffer.capacity}")

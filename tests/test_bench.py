@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +36,7 @@ class ExpertPolicy:
     def __init__(self, geometry):
         self.geometry = geometry
 
-    def act(self, state, stochastic, rng=None):
+    def act(self, state, stochastic):
         return scripted_expert(state, self.geometry)
 
     def act_batch(self, states):
@@ -352,7 +353,9 @@ class TestMetricsCsv:
         write_metrics_csv(path, [])
         with open(path, "a") as fh:
             fh.write(line + "\n")
-        with pytest.raises(ValueError):  # every cell parses: only the count is wrong
+        # Every cell parses: only the count is wrong.
+        n = len(line.split(","))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}, line 2: {n} cells, expected 9"):
             read_metrics_csv(path)
 
     def test_unknown_cause_rejected(self, tmp_path):
@@ -360,7 +363,7 @@ class TestMetricsCsv:
         write_metrics_csv(path, [])
         with open(path, "a") as fh:
             fh.write("9,1,9,1.0,fire,,,,\n")
-        with pytest.raises(ValueError, match="fire"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}, line 2: .*fire"):
             read_metrics_csv(path)
 
 

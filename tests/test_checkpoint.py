@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,4 +92,12 @@ def test_missing_array_index_rejected(tmp_path):
     path = tmp_path / "ck.npz"
     np.savez(path, **{"p/0": np.ones(2), "p/2": np.ones(2)})
     with pytest.raises(ValueError, match=r"'p' has array indices \[0, 2\]"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["weights", "policy/a"])
+def test_foreign_key_rejected_with_path_and_key(tmp_path, key):
+    path = tmp_path / "foreign.npz"
+    np.savez(path, **{"policy/0": np.ones(2), key: np.ones(2)})
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: key '{re.escape(key)}'"):
         load_checkpoint(path)

@@ -12,6 +12,8 @@ from lavabridge.cli import main
 from lavabridge.config import RunConfig
 from lavabridge.demos import save_archive
 from lavabridge.learner import LearnerConfig, SACLearner
+from lavabridge.rngs import substream
+from lavabridge.safety import safety_field
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +118,20 @@ def test_seed_override_lands_in_config(workdir):
 
 
 def test_safety_map(tmp_path, capsys):
-    out = tmp_path / "field.csv"
-    assert main(["safety-map", "--grid", "6", "--k", "2", "--rollouts", "4",
+    # The rollout horizon and count come from the config. At a 9 x 9 grid the
+    # field for k = 20 has fractional cells and the one for k = 4 has none, so
+    # a k that does not come from the config shows.
+    cfg_path, out = tmp_path / "safety.cfg", tmp_path / "field.csv"
+    cfg_path.write_text("sampler.k_safety = 20\nsampler.n_safety_rollouts = 4\n")
+    assert main(["safety-map", "--config", str(cfg_path), "--grid", "9",
                  "--seed", "1", "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
-    assert len(rows) == 36
     assert set(rows[0]) == {"px", "py", "omega"}
+    cfg = RunConfig(method="sac")
+    env = cfg.env.build(cfg.horizon)
+    want = safety_field(env, 20, 4, substream(1, "sampler", 2), nx=9, ny=9)
+    assert [tuple(float(r[c]) for c in ("px", "py", "omega")) for r in rows] == want
+    assert want != safety_field(env, 4, 4, substream(1, "sampler", 2), nx=9, ny=9)
 
 
 def test_sweep_subprocesses(workdir):
@@ -160,8 +170,6 @@ def test_unknown_method_fails_cleanly(workdir, tmp_path):
     ["sweep", "--jobs", "0", "--out-dir", "s"],
     ["sweep", "--jobs", "two", "--out-dir", "s"],
     ["safety-map", "--grid", "-3", "--out", "f.csv"],
-    ["safety-map", "--k", "0", "--out", "f.csv"],
-    ["safety-map", "--rollouts", "0", "--out", "f.csv"],
 ])
 def test_count_flags_rejected_at_parse_time(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -47,8 +47,10 @@ class TestAct:
     def test_stochastic_act_deterministic_per_seed(self):
         learner = mk_learner(seed=3)
         s = mk_state(2.0, 7.0)
-        a = learner.act(s, True, rng=np.random.default_rng(42))
-        b = learner.act(s, True, rng=np.random.default_rng(42))
+        learner.noise_rng = np.random.default_rng(42)
+        a = learner.act(s, True)
+        learner.noise_rng = np.random.default_rng(42)
+        b = learner.act(s, True)
         assert a == b
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -57,12 +59,12 @@ class TestAct:
         # forces and the noise stream must be those of the full head.sample.
         learner = mk_learner(seed=5, dtype=dtype)
         states = np.random.default_rng(6).uniform(-2, 10, (20, 4))
-        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        learner.noise_rng, ref = np.random.default_rng(7), np.random.default_rng(7)
         for s in states:
             out = learner.policy.forward(s[None, :])[0][0]
             a, _, _ = learner.head.sample(out, ref.standard_normal((1, 2)))
-            assert learner.act(s, True, rng) == (float(a[0, 0]), float(a[0, 1]))
-            assert rng.bit_generator.state == ref.bit_generator.state
+            assert learner.act(s, True) == (float(a[0, 0]), float(a[0, 1]))
+            assert learner.noise_rng.bit_generator.state == ref.bit_generator.state
 
     def test_divergence_detected(self):
         learner = mk_learner(seed=4)
@@ -248,7 +250,7 @@ class TestTrainForOneEpisode:
         rng = np.random.default_rng(11)
         result = train_for_one_episode(env, env.sample_start("p0", rng), learner, buf)
         assert 1 <= result.length <= 50
-        assert buf.size == result.length
+        assert len(buf) == result.length
 
     def test_timeout_stored_as_not_done(self):
         env = LavaBridgeEnv(horizon=5)
@@ -256,7 +258,7 @@ class TestTrainForOneEpisode:
         buf = ReplayBuffer(capacity=64)
         result = train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf)
         assert result.cause is Cause.TIMEOUT
-        assert buf.dones[: buf.size].sum() == 0.0
+        assert buf.dones[: len(buf)].sum() == 0.0
 
     def test_updates_gated_on_online_samples(self):
         env = LavaBridgeEnv(horizon=10)

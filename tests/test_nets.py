@@ -222,8 +222,9 @@ class TestAdamAndTargets:
 class TestSquashedHead:
     def test_log_std_bounds_are_smoothly_enforced(self):
         head = SquashedGaussianHead(2, 1.0, -3.0, 1.0)
-        raw = np.array([[-100.0, 100.0]])
-        ls = head.log_std(raw)
+        out = np.array([[0.0, 0.0, -100.0, 100.0]])  # mu, then raw log-std
+        _, _, (_, std, _, _, _) = head.sample(out, np.zeros((1, 2)))
+        ls = np.log(std)
         assert ls[0, 0] >= -3.0 - 1e-12
         assert ls[0, 1] <= 1.0 + 1e-12
 

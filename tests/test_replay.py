@@ -24,7 +24,7 @@ def prefill(buf, transitions):
 
 
 def stored_tags(buf):
-    return sorted(buf.states[: buf.size, 0].tolist())
+    return sorted(buf.states[: len(buf), 0].tolist())
 
 
 class TestRingBehavior:
@@ -32,7 +32,7 @@ class TestRingBehavior:
         buf = ReplayBuffer(capacity=8)
         for i in range(13):  # 5 past capacity: tags 0..4 evicted exactly
             buf.add(*mk_transition(float(i)))
-        assert buf.size == 8
+        assert len(buf) == 8
         assert stored_tags(buf) == [float(i) for i in range(5, 13)]
 
     def test_size_tracks_until_capacity(self):
@@ -57,14 +57,14 @@ class TestFrozenPrefix:
         buf = ReplayBuffer(capacity=10)
         prefill(buf, [mk_transition(float(i), done=(i == 4)) for i in range(5)])
         assert buf.frozen_prefix_len == 5
-        assert buf.size == 5
+        assert len(buf) == 5
         assert buf.online_size == 0
 
     def test_prefill_empty_is_noop(self):
         buf = ReplayBuffer(capacity=10)
         prefill(buf, [])
         assert buf.frozen_prefix_len == 0
-        assert buf.size == 0
+        assert len(buf) == 0
 
     def test_prefill_overflow_rejected(self):
         buf = ReplayBuffer(capacity=3)
@@ -101,7 +101,7 @@ class TestFrozenPrefix:
         for i in range(1_000_000):
             buf.add(s, (0.1, -0.1), 0.0, s, False)
         assert prefix_digest() == before
-        assert buf.size == 512
+        assert len(buf) == 512
 
     @settings(max_examples=50, deadline=None)
     @given(capacity=st.integers(2, 24), data=st.data())
@@ -116,7 +116,7 @@ class TestFrozenPrefix:
             buf.add(*mk_transition(float(i)))
             assert [a[:n].tobytes() for a in arrays] == before
         assert buf.frozen_prefix_len == n
-        assert buf.size == min(capacity, n + adds)
+        assert len(buf) == min(capacity, n + adds)
 
     def test_fully_frozen_buffer_rejects_online_adds(self):
         buf = ReplayBuffer(capacity=3)
@@ -131,7 +131,7 @@ class TestFrozenPrefix:
         buf = ReplayBuffer(capacity=200)
         prefill_demo(buf, *arrays)
         n = archive.n_transitions
-        assert (buf.frozen_prefix_len, buf.size, buf.online_size) == (n, n, 0)
+        assert (buf.frozen_prefix_len, len(buf), buf.online_size) == (n, n, 0)
         stored = (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)
         for want, got in zip(arrays, stored):
             assert want.dtype == np.float64

@@ -244,8 +244,9 @@ def recorded_update(learner, buffer, rng, critic_after=None):
 
     learner.critic_loss_and_grads, learner.policy_loss_and_grads = critic, policy
     learner.q_opt.step, learner.policy_opt.step = step_q, step_p
+    learner.noise_rng = rng
     try:
-        rec["report"] = learner.update_step(buffer, rng)
+        rec["report"] = learner.update_step(buffer)
     finally:
         for name in ("critic_loss_and_grads", "policy_loss_and_grads"):
             delattr(learner, name)
@@ -292,9 +293,9 @@ class TestAgainstOracle:
     def test_after_200_updates(self, dtype):
         learner = make_learner(dtype, seed=3)
         buffer = fill(ReplayBuffer(4096, dtype=dtype), 3000, 0.1, seed=4)
-        rng = np.random.default_rng(5)
+        learner.noise_rng = np.random.default_rng(5)
         for _ in range(200):
-            learner.update_step(buffer, rng)
+            learner.update_step(buffer)
         assert learner.q_opt.t == 200
         compare_one_update(learner, buffer, seed=6)
 
