@@ -2,6 +2,7 @@
 
 from .env import (
     Cause,
+    EnvSettings,
     EpisodeOverError,
     InvalidResetError,
     LavaBridgeEnv,
@@ -9,7 +10,6 @@ from .env import (
     State,
     StepResult,
     Vec2,
-    WorldGeometry,
 )
 from .samplers import SamplerConfig, SamplerWeights
 from .safety import SafetyEstimate, estimate_safety
@@ -22,7 +22,7 @@ from .learner import (
     train_for_one_episode,
 )
 from .demos import DemoArchive, DemoTrajectory, generate_demos, load_archive, save_archive, subsample_states
-from .config import EnvSettings, RunConfig, load_run_config
+from .config import RunConfig, load_run_config
 from .bench import TrainingRun, evaluate, run_training, sweep
 
 __version__ = "0.1.0"

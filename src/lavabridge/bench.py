@@ -140,7 +140,7 @@ _START_RULES = {
         _demo_subset(cfg, archive), cfg.horizon, cfg.sampler),
     "uniform": lambda cfg, env, archive: UniformSampler(_demo_subset(cfg, archive)),
     "goaldist": lambda cfg, env, archive: GoalDistSampler(
-        _demo_subset(cfg, archive), env.geometry.goal_center, cfg.t_max, cfg.sampler),
+        _demo_subset(cfg, archive), env.geometry.goal, cfg.t_max, cfg.sampler),
     "omega": lambda cfg, env, archive: SafetyWeightedSampler(
         _demo_subset(cfg, archive), env, cfg.sampler, substream(cfg.seed, "sampler", 1)),
 }

@@ -4,27 +4,32 @@ One text file configures everything; ``#`` starts a comment. Keys are
 ``run.<name>`` for the scalar fields of ``RunConfig`` and ``env.<name>``,
 ``sampler.<name>``, ``learner.<name>`` for the fields of its dataclass-typed
 sections (``EnvSettings``, ``SamplerConfig``, ``LearnerConfig``): every key
-is a dataclass field name. Values are parsed by the field's type hint:
-scalars, comma-separated tuples, or semicolon-separated groups of tuples;
-an empty value is None for optional fields. For example::
+is a dataclass field name. Values are parsed by the field's type hint. A
+group (a dataclass such as ``Rect`` or ``Vec2``, or a fixed-length tuple) is
+one comma list of its scalars in field order; ``tuple[X, ...]`` is a comma
+list, or ``;``-separated groups when X is a group. A float must be finite,
+and an empty value is None for optional fields. For example::
 
     run.method = auxss
     run.t_max = 150000
-    env.lava = 4,0,6,4.5 ; 4,5.5,6,10
+    env.goal = 9,5                            # Vec2: x,y
+    env.lava = 4,0,6,4.5 ; 4,5.5,6,10         # Rects: xmin,ymin,xmax,ymax
+    env.start_blobs = 1,2.5,0.3 ; 1,7.5,0.3   # (Vec2 mean, std) pairs
     sampler.delta = 0.05
 
 ``RunConfig.to_text`` writes every field the same way, so a run's
 ``config.txt`` reloads to an equal config; a value that could not reload
 (``#``, line breaks, surrounding spaces) is rejected when the config is built.
-Unknown keys and tuples of the wrong length are rejected to catch typos early.
+Unknown keys and groups of the wrong length are rejected to catch typos early.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields, is_dataclass
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-from .env import LavaBridgeEnv, Rect, Vec2, WorldGeometry
+from .env import EnvSettings, LavaBridgeEnv
 from .learner import LearnerConfig
 from .samplers import SamplerConfig
 
@@ -52,61 +57,13 @@ def needs_archive(method: str) -> bool:
     return METHODS[method] != ("p0", False)
 
 
-# The env module owns every geometry and dynamics default.
-_GEOMETRY = WorldGeometry()
-_DYNAMICS = LavaBridgeEnv.__init__.__kwdefaults__
-
-
-@dataclass(frozen=True)
-class EnvSettings:
-    """Geometry and dynamics constants, file-overridable key by key."""
-
-    world: tuple[float, float, float, float] = astuple(_GEOMETRY.world)
-    lava: tuple[tuple[float, float, float, float], ...] = tuple(astuple(r) for r in _GEOMETRY.lava)
-    goal: tuple[float, float] = astuple(_GEOMETRY.goal_center)
-    goal_radius: float = _GEOMETRY.goal_radius
-    start_blobs: tuple[tuple[float, float, float], ...] = tuple(
-        (*astuple(mean), std) for mean, std in _GEOMETRY.start_blobs
-    )
-    ood_points: tuple[tuple[float, float], ...] = tuple(astuple(p) for p in _GEOMETRY.ood_points)
-    ood_jitter: float = _GEOMETRY.ood_jitter
-    dt: float = _DYNAMICS["dt"]
-    f_max: float = _DYNAMICS["f_max"]
-    v_max: float = _DYNAMICS["v_max"]
-    drag: float = _DYNAMICS["drag"]
-    goal_reward: float = _DYNAMICS["goal_reward"]
-    lava_reward: float = _DYNAMICS["lava_reward"]
-
-    def __post_init__(self):
-        self.build(_DYNAMICS["horizon"])  # the env's own checks, before any run starts
-
-    def geometry(self) -> WorldGeometry:
-        return WorldGeometry(
-            world=Rect(*self.world),
-            lava=tuple(Rect(*r) for r in self.lava),
-            goal_center=Vec2(*self.goal),
-            goal_radius=self.goal_radius,
-            start_blobs=tuple((Vec2(x, y), s) for x, y, s in self.start_blobs),
-            ood_points=tuple(Vec2(x, y) for x, y in self.ood_points),
-            ood_jitter=self.ood_jitter,
-        )
-
-    def build(self, horizon: int) -> LavaBridgeEnv:
-        return LavaBridgeEnv(
-            self.geometry(),
-            dt=self.dt, f_max=self.f_max, v_max=self.v_max, drag=self.drag,
-            goal_reward=self.goal_reward, lava_reward=self.lava_reward,
-            horizon=horizon,
-        )
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one training run needs."""
 
     method: str = "auxss"
     t_max: int = 150_000
-    horizon: int = _DYNAMICS["horizon"]
+    horizon: int = LavaBridgeEnv.__init__.__kwdefaults__["horizon"]
     seed: int = 0
     eval_interval: int = 5000
     eval_episodes: int = 20
@@ -156,32 +113,59 @@ def format_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if is_dataclass(value):
+        value = tuple([getattr(value, f.name) for f in fields(value)])
     if isinstance(value, tuple):
-        sep = " ; " if value and isinstance(value[0], tuple) else ","
-        return sep.join(format_value(v) for v in value)
-    return repr(float(value)) if isinstance(value, float) else str(value)
+        groups = value and all(isinstance(v, tuple) or is_dataclass(v) for v in value)
+        return (" ; " if groups else ",").join([format_value(v) for v in value])
+    return str(value)
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 
 
+def _scalar_hints(hint) -> list:
+    """The scalar type hints of a dataclass or fixed tuple ``hint``, in field order."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return [h for f in fields(hint) for h in _scalar_hints(hints[f.name])]
+    if get_origin(hint) is tuple:
+        return [h for a in get_args(hint) for h in _scalar_hints(a)]
+    return [hint]
+
+
+def _assemble(hint, scalars):
+    """A value of the dataclass or fixed tuple ``hint`` from an iterator over its scalars."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return hint(*[_assemble(hints[f.name], scalars) for f in fields(hint)])
+    if get_origin(hint) is tuple:
+        return tuple([_assemble(a, scalars) for a in get_args(hint)])
+    return next(scalars)
+
+
 def parse_value(hint, text: str):
     """Parse ``text`` as a value of type ``hint``; the inverse of ``format_value``.
 
-    ``tuple[X, ...]`` splits on ``,`` (on ``;`` when X is itself a tuple);
-    a fixed-length tuple hint also checks the number of parts.
+    A dataclass or fixed-length tuple is one ``,`` list of its scalars, in
+    field order, and the number of scalars is checked. ``tuple[X, ...]``
+    splits on ``;`` when X is such a group, else on ``,``. A float must be
+    finite.
     """
     text = text.strip()
     origin, args = get_origin(hint), get_args(hint)
-    if origin is tuple:
-        sep = ";" if get_origin(args[0]) is tuple else ","
-        parts = [p for p in text.split(sep) if p.strip()]
-        if args[-1] is Ellipsis:
-            return tuple(parse_value(args[0], p) for p in parts)
-        if len(parts) != len(args):
-            raise ValueError(f"expected {len(args)} values, got {len(parts)} in {text!r}")
-        return tuple(parse_value(a, p) for a, p in zip(args, parts))
+    if origin is tuple and args[-1] is Ellipsis:
+        sep = ";" if is_dataclass(args[0]) or get_origin(args[0]) is tuple else ","
+        return tuple(parse_value(args[0], p) for p in text.split(sep) if p.strip())
+    if origin is tuple or is_dataclass(hint):
+        hints = _scalar_hints(hint)
+        parts = [p for p in text.split(",") if p.strip()]
+        if len(parts) != len(hints):
+            raise ValueError(f"expected {len(hints)} values, got {len(parts)} in {text!r}")
+        return _assemble(hint, iter([parse_value(h, p) for h, p in zip(hints, parts)]))
     if type(None) in args:  # ``X | None``: empty means None
         if not text:
             return None
@@ -191,7 +175,10 @@ def parse_value(hint, text: str):
         if text.lower() not in _BOOLS:
             raise ValueError(f"not a boolean: {text!r}")
         return _BOOLS[text.lower()]
-    return hint(text)
+    value = hint(text)
+    if hint is float and not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def parse_kv_text(text: str) -> dict[str, str]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Cause, LavaBridgeEnv, Vec2, WorldGeometry
+from .env import Cause, EnvSettings, LavaBridgeEnv, Vec2
 from .rngs import substream
 
 __all__ = [
@@ -58,29 +58,31 @@ class ArchiveFormatError(ValueError):
     """Malformed or mismatched demo archive file."""
 
 
-def _waypoints(geometry: WorldGeometry) -> tuple[Vec2, ...]:
+def _waypoints(settings: EnvSettings) -> tuple[Vec2, ...]:
     # Bridge entrance, bridge exit, then the goal itself.
-    return (Vec2(4.0, 5.0), Vec2(6.0, 5.0), geometry.goal_center)
+    return (Vec2(4.0, 5.0), Vec2(6.0, 5.0), settings.goal)
 
 
-def scripted_expert(state, geometry: WorldGeometry, f_max: float = 1.0) -> tuple[float, float]:
+def scripted_expert(state, settings: EnvSettings) -> tuple[float, float]:
     """PD force pair ``(fx, fy)`` toward the active waypoint, for a ``(4,)`` state.
 
-    A waypoint counts as passed once the agent is within WAYPOINT_RADIUS of
-    it or beyond it along x (travel is left to right), which makes the
-    selection a pure function of the state.
+    Each component is clipped to ``settings.f_max``. A waypoint counts as
+    passed once the agent is within WAYPOINT_RADIUS of it or beyond it along
+    x (travel is left to right), which makes the selection a pure function of
+    the state.
     """
     px, py, vx, vy = np.asarray(state, dtype=np.float64).tolist()
     target = None
-    for wp in _waypoints(geometry):
+    for wp in _waypoints(settings):
         passed = math.hypot(px - wp.x, py - wp.y) <= WAYPOINT_RADIUS or px > wp.x
         if not passed:
             target = wp
             break
     if target is None:
-        target = geometry.goal_center
+        target = settings.goal
     fx = EXPERT_KP * (target.x - px) - EXPERT_KD * vx
     fy = EXPERT_KP * (target.y - py) - EXPERT_KD * vy
+    f_max = settings.f_max
     return max(-f_max, min(f_max, fx)), max(-f_max, min(f_max, fy))
 
 
@@ -163,7 +165,7 @@ def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArc
         actions: list[tuple[float, float]] = []
         rewards: list[float] = []
         while True:
-            action = scripted_expert(states[-1], env.geometry, f_max=env.f_max)
+            action = scripted_expert(states[-1], env.geometry)
             res = env.step(action)
             states.append(env.state)
             actions.append(action)

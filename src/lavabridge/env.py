@@ -9,8 +9,9 @@ samplers in this package are built on.
 
 Inside the package a state is a float64 row ``[px, py, vx, vy]``: ``(4,)``
 for one state, ``(n, 4)`` for many. A force is an ``(fx, fy)`` pair of
-floats. ``Vec2`` and ``Rect`` describe the static geometry; ``State`` is kept
-only as the argument of ``is_terminal``. The dynamics are one pure scalar
+floats. ``EnvSettings`` holds every constant of the world: its geometry
+(``Rect`` and ``Vec2`` values), dynamics and rewards. ``State`` is kept only
+as the argument of ``is_terminal``. The dynamics are one pure scalar
 ``LavaBridgeEnv.transition``, which ``step`` wraps in a counter and rewards.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "Cause",
+    "EnvSettings",
     "InvalidResetError",
     "EpisodeOverError",
     "LavaBridgeEnv",
@@ -33,7 +35,6 @@ __all__ = [
     "State",
     "StepResult",
     "Vec2",
-    "WorldGeometry",
     "state_rows",
 ]
 
@@ -91,18 +92,19 @@ class Rect:
 
 
 @dataclass(frozen=True)
-class WorldGeometry:
-    """Static layout: world bounds, lava strips, goal disc, start distributions.
+class EnvSettings:
+    """Every constant of the world: bounds, lava, goal disc, start distributions, dynamics, rewards.
 
     ``start_blobs`` parameterizes the task's own start distribution as an
     equal-weight mixture of isotropic Gaussians (zero start velocity).
     ``ood_points`` is a disjoint set of probe locations used only for
-    robustness evaluation, jittered by ``ood_jitter``.
+    robustness evaluation, jittered by ``ood_jitter``. Each field is one
+    ``env.<name>`` config key; construction runs ``validate``.
     """
 
     world: Rect = Rect(0.0, 0.0, 10.0, 10.0)
     lava: tuple[Rect, ...] = (Rect(4.0, 0.0, 6.0, 4.5), Rect(4.0, 5.5, 6.0, 10.0))
-    goal_center: Vec2 = Vec2(9.0, 5.0)
+    goal: Vec2 = Vec2(9.0, 5.0)
     goal_radius: float = 0.4
     start_blobs: tuple[tuple[Vec2, float], ...] = (
         (Vec2(1.0, 2.5), 0.3),
@@ -117,6 +119,18 @@ class WorldGeometry:
         Vec2(0.5, 0.5),
     )
     ood_jitter: float = 0.15
+    dt: float = 0.1
+    f_max: float = 1.0
+    v_max: float = 2.0
+    drag: float = 0.1
+    goal_reward: float = 1.0
+    lava_reward: float = -1.0
+
+    def __post_init__(self):
+        self.validate()
+
+    def build(self, horizon: int) -> LavaBridgeEnv:
+        return LavaBridgeEnv(self, horizon=horizon)
 
     def in_lava(self, x: float, y: float) -> bool:
         for xmin, xmax, ymin, ymax in self._lava_rects:
@@ -130,7 +144,7 @@ class WorldGeometry:
         return tuple((r.xmin, r.xmax, r.ymin, r.ymax) for r in self.lava)
 
     def in_goal(self, x: float, y: float) -> bool:
-        dx, dy = x - self.goal_center.x, y - self.goal_center.y
+        dx, dy = x - self.goal.x, y - self.goal.y
         return math.sqrt(dx * dx + dy * dy) <= self.goal_radius
 
     @cached_property
@@ -148,8 +162,8 @@ class WorldGeometry:
         """
         xmin, xmax, ymin, ymax = self._lava_bounds
         lava = ((px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)).any(axis=0)
-        dx = px - self.goal_center.x
-        dy = py - self.goal_center.y
+        dx = px - self.goal.x
+        dy = py - self.goal.y
         goal = np.sqrt(dx * dx + dy * dy) <= self.goal_radius
         goal &= ~lava
         return lava, goal
@@ -162,10 +176,12 @@ class WorldGeometry:
             if not (w.xmin <= rect.xmin <= rect.xmax <= w.xmax
                     and w.ymin <= rect.ymin <= rect.ymax <= w.ymax):
                 raise ValueError(f"lava rectangle {rect} escapes world bounds")
-        if self.in_lava(self.goal_center.x, self.goal_center.y):
-            raise ValueError("goal center lies inside lava")
+        if self.in_lava(self.goal.x, self.goal.y) or not w.contains(self.goal.x, self.goal.y):
+            raise ValueError(f"goal center {self.goal} is in lava or out of bounds")
         if not self.goal_radius > 0.0:
             raise ValueError(f"goal_radius {self.goal_radius} must be positive")
+        if not (self.start_blobs and self.ood_points):
+            raise ValueError("start_blobs and ood_points must not be empty")
         for mean, std in self.start_blobs:
             if self.in_lava(mean.x, mean.y) or not w.contains(mean.x, mean.y):
                 raise ValueError(f"start blob mean {mean} is terminal or out of bounds")
@@ -176,6 +192,8 @@ class WorldGeometry:
         for pt in self.ood_points:
             if self.in_lava(pt.x, pt.y) or not w.contains(pt.x, pt.y):
                 raise ValueError(f"OOD point {pt} is terminal or out of bounds")
+        if not (self.dt > 0 and self.f_max > 0 and self.v_max > 0):
+            raise ValueError("dt, f_max, v_max must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,29 +245,14 @@ class LavaBridgeEnv:
     workers; a single instance must not be stepped concurrently.
     """
 
-    def __init__(
-        self,
-        geometry: WorldGeometry | None = None,
-        *,
-        dt: float = 0.1,
-        f_max: float = 1.0,
-        v_max: float = 2.0,
-        drag: float = 0.1,
-        goal_reward: float = 1.0,
-        lava_reward: float = -1.0,
-        horizon: int = 500,
-    ):
-        self.geometry = geometry if geometry is not None else WorldGeometry()
-        self.geometry.validate()
-        self.dt = float(dt)
-        self.f_max = float(f_max)
-        self.v_max = float(v_max)
-        self.drag = float(drag)
-        self.goal_reward = float(goal_reward)
-        self.lava_reward = float(lava_reward)
+    def __init__(self, geometry: EnvSettings | None = None, *, horizon: int = 500):
+        self.geometry = geo = geometry if geometry is not None else EnvSettings()
+        # Copied once as floats: transition reads them every step, geometry_hash writes them.
+        self.dt, self.f_max, self.v_max, self.drag = map(float, (geo.dt, geo.f_max, geo.v_max, geo.drag))
+        self.goal_reward, self.lava_reward = float(geo.goal_reward), float(geo.lava_reward)
         self.horizon = int(horizon)
-        if not (self.dt > 0 and self.f_max > 0 and self.v_max > 0) or self.horizon < 1:
-            raise ValueError("dt, f_max, v_max must be positive and horizon >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         blob = self.geometry.start_blobs[0][0]
         self._px, self._py, self._vx, self._vy = blob.x, blob.y, 0.0, 0.0
         self._steps = 0
@@ -425,7 +428,7 @@ class LavaBridgeEnv:
         ``states`` is ``(N, 4)`` ``[px, py, vx, vy]`` and ``forces`` is
         ``(N, 2)``. Returns the next states and two ``(N,)`` bool masks:
         landed in lava, and landed in the goal disc (never both, since lava
-        wins; see ``WorldGeometry.terminal_masks``). The next states are a new
+        wins; see ``EnvSettings.terminal_masks``). The next states are a new
         ``(N, 4)`` array laid out column by column (Fortran order), so each
         of its columns is contiguous; fed back in, it steps without a copy.
 
@@ -494,7 +497,7 @@ class LavaBridgeEnv:
         parts = [
             f"world={geo.world}",
             "lava=" + "|".join(map(repr, geo.lava)),
-            f"goal={geo.goal_center!r}@{geo.goal_radius!r}",
+            f"goal={geo.goal!r}@{geo.goal_radius!r}",
             "p0=" + "|".join(f"{m!r}~{s!r}" for m, s in geo.start_blobs),
             "ood=" + "|".join(map(repr, geo.ood_points)) + f"~{geo.ood_jitter!r}",
             f"dyn=dt{self.dt!r},f{self.f_max!r},v{self.v_max!r},c{self.drag!r}",

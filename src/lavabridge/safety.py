@@ -10,7 +10,7 @@ evaluating the terminal indicator at the window's final state.
 ``estimate_safety`` takes states as an ``(S, 4)`` array of ``[px, py, vx,
 vy]`` rows. One array pass checks them all before any rollout and raises for
 the first bad row: ``ValueError`` if it is terminal
-(``WorldGeometry.terminal_masks``), or the ``InvalidResetError`` that
+(``EnvSettings.terminal_masks``), or the ``InvalidResetError`` that
 ``reset_to`` would raise for it (``LavaBridgeEnv.check_states``). It then
 rolls out all ``n`` rollouts of every state as rows of one array, stepped by
 ``LavaBridgeEnv.step_batch``. A policy is a callable ``policy(states (B, 4),

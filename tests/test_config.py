@@ -9,7 +9,7 @@ from lavabridge.config import (
     load_run_config,
     parse_kv_text,
 )
-from lavabridge.env import LavaBridgeEnv
+from lavabridge.env import LavaBridgeEnv, Rect, Vec2
 from lavabridge.learner import LearnerConfig
 from lavabridge.samplers import SamplerConfig
 
@@ -59,13 +59,106 @@ learner.log_std_max = 1.0
 learner.dtype = float64
 """
 
+# What to_text writes, byte for byte: for RunConfig(method="sac"), and for
+# LEGACY_TEXT loaded and written again (an archive and non-default values in
+# every section).
+SAC_TEXT = """\
+run.method = sac
+run.t_max = 150000
+run.horizon = 500
+run.seed = 0
+run.eval_interval = 5000
+run.eval_episodes = 20
+run.demo_archive =
+run.demo_subset = 150
+env.world = 0.0,0.0,10.0,10.0
+env.lava = 4.0,0.0,6.0,4.5 ; 4.0,5.5,6.0,10.0
+env.goal = 9.0,5.0
+env.goal_radius = 0.4
+env.start_blobs = 1.0,2.5,0.3 ; 1.0,7.5,0.3
+env.ood_points = 1.0,5.0 ; 2.5,1.0 ; 2.5,9.0 ; 3.5,4.0 ; 3.5,6.0 ; 0.5,0.5
+env.ood_jitter = 0.15
+env.dt = 0.1
+env.f_max = 1.0
+env.v_max = 2.0
+env.drag = 0.1
+env.goal_reward = 1.0
+env.lava_reward = -1.0
+sampler.kind = auxss
+sampler.delta = 0.05
+sampler.sigma = 0.5
+sampler.scale = 1.0,1.0,1.0,1.0
+sampler.epsilon = 0.05
+sampler.k_safety = 4
+sampler.n_safety_rollouts = 64
+sampler.tau0 = 0.5
+sampler.tau1 = 5.0
+sampler.cause_aware = false
+learner.gamma = 0.99
+learner.lr = 0.0003
+learner.batch_size = 256
+learner.tau = 0.005
+learner.alpha = 0.002
+learner.hidden = 64,64
+learner.grad_steps = 1
+learner.buffer_capacity = 10000
+learner.log_std_min = -3.0
+learner.log_std_max = 1.0
+learner.dtype = float32
+"""
+
+LEGACY_REWRITTEN = """\
+run.method = hysac-auxss
+run.t_max = 12345
+run.horizon = 321
+run.seed = 9
+run.eval_interval = 777
+run.eval_episodes = 5
+run.demo_archive = runs/demos.csv
+run.demo_subset = 99
+env.world = 0.0,0.0,10.0,10.0
+env.lava = 4.0,0.0,6.0,4.25 ; 4.0,5.75,6.0,10.0
+env.goal = 9.0,5.0
+env.goal_radius = 0.35
+env.start_blobs = 1.0,2.5,0.3 ; 1.0,7.5,0.3
+env.ood_points = 1.0,5.0 ; 2.5,1.0 ; 2.5,9.0 ; 3.5,4.0 ; 3.5,6.0 ; 0.5,0.5
+env.ood_jitter = 0.15
+env.dt = 0.05
+env.f_max = 1.0
+env.v_max = 2.0
+env.drag = 0.1
+env.goal_reward = 1.0
+env.lava_reward = -1.0
+sampler.kind = auxss
+sampler.delta = 0.05
+sampler.sigma = 0.25
+sampler.scale = 1.0,1.0,2.0,2.0
+sampler.epsilon = 0.05
+sampler.k_safety = 20
+sampler.n_safety_rollouts = 64
+sampler.tau0 = 0.5
+sampler.tau1 = 5.0
+sampler.cause_aware = true
+learner.gamma = 0.99
+learner.lr = 0.001
+learner.batch_size = 64
+learner.tau = 0.005
+learner.alpha = 0.002
+learner.hidden = 32,16
+learner.grad_steps = 1
+learner.buffer_capacity = 10000
+learner.log_std_min = -3.0
+learner.log_std_max = 1.0
+learner.dtype = float64
+"""
+
 # Valid non-default values for the fields whose type cannot be perturbed
 # arithmetically, and for the geometry that halving would break (the halved
 # world drops the lava outside it, the halved goal lies in lava, and the
 # halved lava covers an OOD point).
 OTHER_VALUES = {"method": "sac", "demo_archive": "runs/demos.csv", "kind": "omega",
-                "dtype": "float64", "world": (0.0, 0.0, 12.0, 10.0),
-                "lava": ((4.0, 0.0, 6.0, 4.0), (4.0, 6.0, 6.0, 10.0)), "goal": (9.0, 4.5)}
+                "dtype": "float64", "world": Rect(0.0, 0.0, 12.0, 10.0),
+                "lava": (Rect(4.0, 0.0, 6.0, 4.0), Rect(4.0, 6.0, 6.0, 10.0)), "goal": Vec2(9.0, 4.5)}
 
 BASE = RunConfig(demo_archive="demos.csv")
 
@@ -94,6 +187,8 @@ def other_value(name, value):
         return value / 2
     if isinstance(value, tuple):
         return tuple(other_value(name, v) for v in value)
+    if isinstance(value, Vec2):
+        return Vec2(value.x / 2, value.y / 2)
     raise KeyError(name)
 
 
@@ -211,11 +306,17 @@ class TestRoundTrip:
             method="hysac-auxss", t_max=12345, horizon=321, seed=9, eval_interval=777,
             eval_episodes=5, demo_archive="runs/demos.csv", demo_subset=99,
             env=EnvSettings(dt=0.05, goal_radius=0.35,
-                            lava=((4.0, 0.0, 6.0, 4.25), (4.0, 5.75, 6.0, 10.0))),
+                            lava=(Rect(4.0, 0.0, 6.0, 4.25), Rect(4.0, 5.75, 6.0, 10.0))),
             sampler=SamplerConfig(sigma=0.25, scale=(1.0, 1.0, 2.0, 2.0), k_safety=20,
                                   cause_aware=True),
             learner=LearnerConfig(hidden=(32, 16), lr=1e-3, dtype="float64", batch_size=64),
         )
+
+    def test_to_text_bytes_are_pinned(self, tmp_path):
+        assert RunConfig(method="sac").to_text() == SAC_TEXT
+        path = tmp_path / "config.txt"
+        path.write_text(LEGACY_TEXT)
+        assert load_run_config(path).to_text() == LEGACY_REWRITTEN
 
     def test_unset_archive_round_trips(self):
         cfg = RunConfig(method="sac")
@@ -228,6 +329,8 @@ class TestValidation:
         ("env.world", "1,2"),
         ("env.goal", "9,5,1"),
         ("env.lava", "4,0,6 ; 4,5.5,6,10"),
+        ("env.start_blobs", "1,2.5 ; 1,7.5,0.3"),
+        ("env.ood_points", "1,5,0"),
         ("sampler.scale", "1,1"),
     ])
     def test_wrong_tuple_arity_rejected(self, key, value):
@@ -257,6 +360,9 @@ class TestValidation:
         ("env.dt", "nan"),
         ("env.goal_radius", "0"),
         ("env.lava", "9,9,11,10"),         # a lava rectangle outside the world
+        ("env.goal", "12,5"),              # the walls clamp px to 10: an unreachable goal
+        ("env.start_blobs", ""),           # was an IndexError, not naming the key
+        ("env.ood_points", ""),            # failed only at the first OOD evaluation
         ("run.demo_subset", "0"),
         ("run.seed", "-1"),                # failed only while the run was built
         ("run.demo_archive", "runs/#1/demos.csv"),  # would reload cut at the comment
@@ -265,6 +371,27 @@ class TestValidation:
     ])
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ValueError, match=key.split(".")[1]):
+            config_from_mapping({"run.method": "sac", key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("learner.lr", "nan"),
+        ("learner.alpha", "inf"),
+        ("sampler.sigma", "nan"),
+        ("sampler.epsilon", "inf"),
+        ("sampler.tau1", "inf"),
+        ("env.dt", "inf"),
+        ("env.drag", "nan"),               # a sac run failed at its first act
+        ("env.f_max", "inf"),
+        ("env.v_max", "inf"),
+        ("env.goal_reward", "nan"),        # a run finished and reported nothing
+        ("env.lava_reward", "-inf"),
+        ("env.goal_radius", "inf"),
+        ("env.ood_jitter", "inf"),
+        ("env.goal", "nan,5"),
+        ("env.world", "0,0,inf,10"),
+    ])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"config key {key}: .* is not a finite number"):
             config_from_mapping({"run.method": "sac", key: value})
 
     @pytest.mark.parametrize("kw,match", [

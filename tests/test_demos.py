@@ -90,7 +90,7 @@ class TestGenerateDemos:
         # Expert that dives straight into the bridge at full force fails fast.
         import lavabridge.demos as demos_mod
 
-        def reckless(state, geometry, f_max=1.0):
+        def reckless(state, settings):
             return 1.0, 0.5 if state[1] < 5 else -0.5
 
         monkeypatch.setattr(demos_mod, "scripted_expert", reckless)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from lavabridge.env import (
     Cause,
+    EnvSettings,
     EpisodeOverError,
     InvalidResetError,
     LavaBridgeEnv,
     State,
     Vec2,
-    WorldGeometry,
 )
 
 
@@ -84,7 +84,7 @@ class TestResetTo:
 
 class TestSampleStart:
     def test_p0_zero_jitter_hits_means_exactly(self):
-        geo = WorldGeometry(start_blobs=((Vec2(1.0, 2.5), 0.0), (Vec2(1.0, 7.5), 0.0)))
+        geo = EnvSettings(start_blobs=((Vec2(1.0, 2.5), 0.0), (Vec2(1.0, 7.5), 0.0)))
         env = LavaBridgeEnv(geo)
         rng = np.random.default_rng(3)
         seen = set()
@@ -97,7 +97,7 @@ class TestSampleStart:
         assert seen == {2.5, 7.5}
 
     def test_ood_zero_jitter_hits_points_exactly(self):
-        geo = WorldGeometry(ood_jitter=0.0)
+        geo = EnvSettings(ood_jitter=0.0)
         env = LavaBridgeEnv(geo)
         rng = np.random.default_rng(4)
         points = {(p.x, p.y) for p in geo.ood_points}
@@ -349,7 +349,7 @@ def reset_rows(draw):
     speed = draw(st.one_of(st.floats(0.0, 2.0), st.just(2.0)))
     angle = draw(st.floats(0.0, 2 * math.pi))
     row = (px, py, speed * math.cos(angle), speed * math.sin(angle))
-    assume(not WorldGeometry().in_lava(px, py))
+    assume(not EnvSettings().in_lava(px, py))
     return row
 
 
@@ -388,7 +388,7 @@ class TestStepBatch:
     def test_lava_wins_where_goal_disc_overlaps_lava(self):
         # The goal disc at (6.2, 4.4) reaches into the lower lava strip
         # (x <= 6, y <= 4.5); rows gliding left into the overlap land in lava only.
-        geo = WorldGeometry(goal_center=Vec2(6.2, 4.4))
+        geo = EnvSettings(goal=Vec2(6.2, 4.4))
         env = LavaBridgeEnv(geo)
         px, py = np.meshgrid(np.linspace(6.05, 6.7, 14), np.linspace(4.0, 4.9, 19))
         rows = np.stack([px.ravel(), py.ravel(), np.full(px.size, -2.0), np.zeros(px.size)], axis=1)
@@ -400,12 +400,11 @@ class TestStepBatch:
 
 class TestGeometry:
     def test_default_geometry_validates(self):
-        WorldGeometry().validate()
+        EnvSettings().validate()
 
     def test_goal_inside_lava_rejected(self):
-        geo = WorldGeometry(goal_center=Vec2(5.0, 2.0))
         with pytest.raises(ValueError, match="goal"):
-            geo.validate()
+            EnvSettings(goal=Vec2(5.0, 2.0))
 
     @pytest.mark.parametrize("kw,match", [
         ({"goal_radius": 0.0}, "goal_radius"),      # an unreachable goal, silently
@@ -415,22 +414,24 @@ class TestGeometry:
     ])
     def test_bad_goal_radius_or_spread_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
-            WorldGeometry(**kw).validate()
+            EnvSettings(**kw)
 
     def test_lava_outside_world_rejected(self):
         from lavabridge.env import Rect
-        geo = WorldGeometry(lava=(Rect(9.0, 9.0, 11.0, 10.0),))
         with pytest.raises(ValueError, match="lava"):
-            geo.validate()
+            EnvSettings(lava=(Rect(9.0, 9.0, 11.0, 10.0),))
 
     def test_geometry_hash_tracks_constants(self):
         a = LavaBridgeEnv()
         b = LavaBridgeEnv()
-        c = LavaBridgeEnv(dt=0.05)
-        d = LavaBridgeEnv(WorldGeometry(goal_radius=0.5))
+        c = LavaBridgeEnv(EnvSettings(dt=0.05))
+        d = LavaBridgeEnv(EnvSettings(goal_radius=0.5))
         assert a.geometry_hash() == b.geometry_hash()
         assert a.geometry_hash() != c.geometry_hash()
         assert a.geometry_hash() != d.geometry_hash()
+        # An int constant stamps archives as its float does.
+        assert LavaBridgeEnv(EnvSettings(dt=1, f_max=2)).geometry_hash() == \
+            LavaBridgeEnv(EnvSettings(dt=1.0, f_max=2.0)).geometry_hash()
 
 
 class TestStepBatchChained:
@@ -489,7 +490,7 @@ class TestTerminalMasks:
     def test_masks_equal_scalar_tests_on_edges(self, goal_center):
         # Grid lines through every lava edge and the disc's rim, plus the
         # neighbouring floats on each side of them.
-        geo = WorldGeometry(goal_center=goal_center)
+        geo = EnvSettings(goal=goal_center)
         edges = [4.0, 6.0, 4.5, 5.5, 0.0, 10.0,
                  goal_center.x - geo.goal_radius, goal_center.x + geo.goal_radius,
                  goal_center.y - geo.goal_radius, goal_center.y + geo.goal_radius]
@@ -504,7 +505,7 @@ class TestTerminalMasks:
         assert lava.any() and goal.any() and not (lava & goal).any()
 
     def test_no_lava(self):
-        geo = WorldGeometry(lava=())
+        geo = EnvSettings(lava=())
         lava, goal = geo.terminal_masks(np.array([5.0, 9.0]), np.array([2.0, 5.0]))
         assert lava.tolist() == [False, False] and goal.tolist() == [False, True]
 

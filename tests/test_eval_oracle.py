@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 
 from eval_oracle import snapshot_evaluate
 from lavabridge.bench import evaluate
-from lavabridge.env import Cause, LavaBridgeEnv, Vec2, WorldGeometry
+from lavabridge.env import Cause, EnvSettings, LavaBridgeEnv, Vec2
 from lavabridge.learner import LearnerConfig, SACLearner
 
-NEAR_GOAL = WorldGeometry(start_blobs=((Vec2(7.5, 5.0), 0.6), (Vec2(3.0, 5.0), 0.8)))
+NEAR_GOAL = EnvSettings(start_blobs=((Vec2(7.5, 5.0), 0.6), (Vec2(3.0, 5.0), 0.8)))
 
 
 class GoalSeeker:
     """Duck-typed policy: a damped pull toward the goal plus a constant push."""
 
     def __init__(self, geometry, gain, damping, push):
-        self.goal = np.array([geometry.goal_center.x, geometry.goal_center.y])
+        self.goal = np.array([geometry.goal.x, geometry.goal.y])
         self.gain, self.damping, self.push = gain, damping, np.array(push)
 
     def act_batch(self, states):
@@ -63,7 +63,7 @@ def policies(draw, geometry):
 
 @st.composite
 def eval_cases(draw):
-    geometry = draw(st.sampled_from([WorldGeometry(), NEAR_GOAL]))
+    geometry = draw(st.sampled_from([EnvSettings(), NEAR_GOAL]))
     env_horizon = draw(st.sampled_from([30, 60, 150]))
     horizon = draw(st.sampled_from([1, env_horizon // 2, env_horizon - 1, env_horizon,
                                     env_horizon + 1, 2 * env_horizon]))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lavabridge.env import InvalidResetError, LavaBridgeEnv, Vec2, WorldGeometry
+from lavabridge.env import EnvSettings, InvalidResetError, LavaBridgeEnv, Vec2
 from lavabridge import safety as safety_mod
 from lavabridge.safety import (
     SafetyEstimate,
@@ -95,7 +95,7 @@ class TestEstimateSafety:
         # rollout gliding left enters the goal near x = 6.15 and would be in
         # lava (x <= 6) after one more step: the goal must end it, as the
         # oracle says.
-        env = LavaBridgeEnv(WorldGeometry(goal_center=Vec2(6.15, 2.0), goal_radius=0.1))
+        env = LavaBridgeEnv(EnvSettings(goal=Vec2(6.15, 2.0), goal_radius=0.1))
         s = mk_state(6.35, 2.0, -2.0, 0.0)
         assert brute_force_safety(env, s, k=3, grid=3) == 1.0
         # SAFE keeps rows of the block running after the goal rows have ended.

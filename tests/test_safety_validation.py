@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lavabridge import safety
-from lavabridge.env import InvalidResetError, LavaBridgeEnv, Vec2, WorldGeometry
+from lavabridge.env import EnvSettings, InvalidResetError, LavaBridgeEnv, Vec2
 from lavabridge.safety import estimate_safety, safety_field, uniform_random_policy
 from safety_oracle import scalar_reset_check, validate_states_loop
 
@@ -49,7 +49,7 @@ def bad_row(env: LavaBridgeEnv, kind: str, row: np.ndarray, rng: np.random.Gener
             row[:2] = rng.uniform(rect.xmin, rect.xmax), (rect.ymin, rect.ymax)[rng.integers(2)]
     elif kind == "goal":
         r, angle = env.geometry.goal_radius * rng.uniform(0.0, 0.99), rng.uniform(0.0, 2 * np.pi)
-        row[:2] = env.geometry.goal_center.x + r * np.cos(angle), env.geometry.goal_center.y + r * np.sin(angle)
+        row[:2] = env.geometry.goal.x + r * np.cos(angle), env.geometry.goal.y + r * np.sin(angle)
     elif kind == "overspeed":
         angle = rng.uniform(0.0, 2 * np.pi)
         speed = env.v_max * (1.0 + 2e-12)
@@ -173,7 +173,7 @@ class TestStatesShape:
 
 
 class TestFieldCells:
-    @pytest.mark.parametrize("geometry", [WorldGeometry(), WorldGeometry(goal_center=Vec2(6.2, 4.4))],
+    @pytest.mark.parametrize("geometry", [EnvSettings(), EnvSettings(goal=Vec2(6.2, 4.4))],
                              ids=["default", "goal-overlaps-lava"])
     @pytest.mark.parametrize("size", [21, 41])
     def test_cells_classified_as_the_scalar_tests(self, monkeypatch, geometry, size):
