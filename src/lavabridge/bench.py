@@ -25,6 +25,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -88,9 +89,9 @@ def evaluate(
     run in lockstep: their start states are drawn first, in episode order,
     and checked as reset targets. Then each of ``min(horizon, env.horizon)``
     steps makes one ``act_batch`` call over the episodes still running and
-    advances each by ``env.transition``. The result is bitwise equal to
-    running the episodes one at a time by ``reset_to`` and ``step``, and
-    ``env`` is left untouched.
+    advances them all by one ``env.transitions`` call. The result is bitwise
+    equal to running the episodes one at a time by ``reset_to`` and ``step``,
+    and ``env`` is left untouched.
     """
     if n_episodes < 1:
         raise ValueError("evaluation needs at least one episode")
@@ -100,15 +101,15 @@ def evaluate(
     successes = 0
     active = list(range(n_episodes))
     discount = 1.0
-    transition = env.transition
     none, goal = Cause.NONE, Cause.GOAL  # bound once: an enum member lookup is slow per row
     for _ in range(min(horizon, env.horizon)):
         if not active:
             break
-        forces = learner.act_batch(np.array([states[i] for i in active]))
+        rows = [states[i] for i in active]
+        forces = learner.act_batch(
+            np.fromiter(chain.from_iterable(rows), np.float64, 4 * len(rows)).reshape(-1, 4))
         running = []
-        for i, (fx, fy) in zip(active, forces.tolist()):
-            px, py, vx, vy, cause = transition(*states[i], fx, fy)
+        for i, (px, py, vx, vy, cause) in zip(active, env.transitions(rows, forces.tolist())):
             if cause is none:
                 states[i] = (px, py, vx, vy)
                 running.append(i)

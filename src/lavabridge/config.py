@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from types import MappingProxyType
 from typing import get_args, get_origin, get_type_hints
 
 from .env import EnvSettings, LavaBridgeEnv
@@ -93,7 +94,7 @@ class RunConfig:
 
     def _written(self) -> list[tuple[str, str]]:
         """(``section.name``, value text) for every field, run keys first."""
-        objs = {"run": self, **{name: getattr(self, name) for name in _section_types()}}
+        objs = {"run": self, **{name: getattr(self, name) for name in _SECTION_TYPES}}
         return [(f"{section}.{f.name}", format_value(getattr(obj, f.name)))
                 for section, obj in objs.items() for f in fields(obj) if f.name not in objs]
 
@@ -102,10 +103,10 @@ class RunConfig:
         return "".join(f"{key} = {text}".rstrip() + "\n" for key, text in self._written())
 
 
-def _section_types() -> dict[str, type]:
-    """Section name -> dataclass, for the dataclass-typed fields of RunConfig."""
-    hints = get_type_hints(RunConfig)
-    return {f.name: hints[f.name] for f in fields(RunConfig) if is_dataclass(hints[f.name])}
+# Section name -> dataclass, for the dataclass-typed fields of RunConfig in field order; resolved
+# once and read-only, since get_type_hints is about half the cost of building a RunConfig.
+_SECTION_TYPES = MappingProxyType({name: hint for name, hint in get_type_hints(RunConfig).items()
+                                   if is_dataclass(hint)})
 
 
 def format_value(value) -> str:
@@ -211,8 +212,7 @@ def _build(cls, section: str, raw: dict[str, str], **kw):
 
 
 def config_from_mapping(kv: dict[str, str]) -> RunConfig:
-    section_types = _section_types()
-    raw: dict[str, dict[str, str]] = {"run": {}, **{name: {} for name in section_types}}
+    raw: dict[str, dict[str, str]] = {"run": {}, **{name: {} for name in _SECTION_TYPES}}
     for key, val in kv.items():
         section, dot, name = key.partition(".")
         if not dot:
@@ -220,7 +220,7 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
         if section not in raw:
             raise ValueError(f"unknown config section {section!r} in key {key!r}")
         raw[section][name] = val
-    sections = {name: _build(cls, name, raw[name]) for name, cls in section_types.items()}
+    sections = {name: _build(cls, name, raw[name]) for name, cls in _SECTION_TYPES.items()}
     return _build(RunConfig, "run", raw["run"], **sections)
 
 

@@ -11,8 +11,8 @@ Inside the package a state is a float64 row ``[px, py, vx, vy]``: ``(4,)``
 for one state, ``(n, 4)`` for many. A force is an ``(fx, fy)`` pair of
 floats. ``EnvSettings`` holds every constant of the world: its geometry
 (``Rect`` and ``Vec2`` values), dynamics and rewards. ``State`` is kept only
-as the argument of ``is_terminal``. The dynamics are one pure scalar
-``LavaBridgeEnv.transition``, which ``step`` wraps in a counter and rewards.
+as the argument of ``is_terminal``. One pure ``LavaBridgeEnv.transitions`` over
+rows is the scalar dynamics that ``transition``, ``step`` and ``evaluate`` run.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ class Cause(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Bound once: an enum member lookup costs several times a global read, once per row.
+_NONE, _GOAL, _LAVA, _TIMEOUT = Cause.NONE, Cause.GOAL, Cause.LAVA, Cause.TIMEOUT
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,9 +251,13 @@ class LavaBridgeEnv:
 
     def __init__(self, geometry: EnvSettings | None = None, *, horizon: int = 500):
         self.geometry = geo = geometry if geometry is not None else EnvSettings()
-        # Copied once as floats: transition reads them every step, geometry_hash writes them.
+        # Copied once as floats: step_batch reads them every step, geometry_hash writes them.
         self.dt, self.f_max, self.v_max, self.drag = map(float, (geo.dt, geo.f_max, geo.v_max, geo.drag))
         self.goal_reward, self.lava_reward = float(geo.goal_reward), float(geo.lava_reward)
+        # Packed once for transitions, which unpacks it into locals once per call.
+        w, goal = geo.world, geo.goal
+        self._consts = (self.f_max, self.dt, self.drag, self.v_max, w.xmin, w.xmax, w.ymin, w.ymax,
+                        geo._lava_rects, goal.x, goal.y, geo.goal_radius)
         self.horizon = int(horizon)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -358,72 +366,83 @@ class LavaBridgeEnv:
 
     # -- dynamics ------------------------------------------------------------
 
-    def transition(self, px, py, vx, vy, fx, fy) -> tuple:
-        """The next state and cause ``(px, py, vx, vy, cause)`` of one step under ``(fx, fy)``.
+    def transitions(self, states, forces) -> list[tuple]:
+        """The next ``(px, py, vx, vy, cause)`` of each ``states`` row under its ``forces`` pair.
 
-        Pure: ``cause`` is LAVA, else GOAL where the next state lies, else NONE.
+        Rows are ``(px, py, vx, vy)`` and pairs ``(fx, fy)``, matched by index. Pure:
+        ``cause`` is LAVA, else GOAL where the next state lies, else NONE. The one scalar
+        form of the dynamics: ``transition``, ``step`` and ``bench.evaluate`` run it.
         """
-        f_max = self.f_max
-        # Actuator saturation: commands beyond the force budget are clamped.
-        if fx > f_max:
-            fx = f_max
-        elif fx < -f_max:
-            fx = -f_max
-        if fy > f_max:
-            fy = f_max
-        elif fy < -f_max:
-            fy = -f_max
+        f_max, dt, drag, v_max, xmin, xmax, ymin, ymax, lava, gx, gy, radius = self._consts
+        sqrt = math.sqrt
+        out = []
+        for (px, py, vx, vy), (fx, fy) in zip(states, forces):
+            # Actuator saturation: commands beyond the force budget are clamped.
+            if fx > f_max:
+                fx = f_max
+            elif fx < -f_max:
+                fx = -f_max
+            if fy > f_max:
+                fy = f_max
+            elif fy < -f_max:
+                fy = -f_max
 
-        dt = self.dt
-        drag = self.drag
-        vx = vx + (fx - drag * vx) * dt
-        vy = vy + (fy - drag * vy) * dt
-        speed = math.sqrt(vx * vx + vy * vy)
-        if speed > self.v_max:
-            scale = self.v_max / speed
-            vx *= scale
-            vy *= scale
-        px = px + vx * dt
-        py = py + vy * dt
+            vx = vx + (fx - drag * vx) * dt
+            vy = vy + (fy - drag * vy) * dt
+            speed = sqrt(vx * vx + vy * vy)
+            if speed > v_max:
+                scale = v_max / speed
+                vx *= scale
+                vy *= scale
+            px = px + vx * dt
+            py = py + vy * dt
 
-        world = self.geometry.world
-        if px < world.xmin:
-            px, vx = world.xmin, 0.0
-        elif px > world.xmax:
-            px, vx = world.xmax, 0.0
-        if py < world.ymin:
-            py, vy = world.ymin, 0.0
-        elif py > world.ymax:
-            py, vy = world.ymax, 0.0
+            if px < xmin:
+                px, vx = xmin, 0.0
+            elif px > xmax:
+                px, vx = xmax, 0.0
+            if py < ymin:
+                py, vy = ymin, 0.0
+            elif py > ymax:
+                py, vy = ymax, 0.0
 
-        if self.geometry.in_lava(px, py):
-            return px, py, vx, vy, Cause.LAVA
-        return px, py, vx, vy, Cause.GOAL if self.geometry.in_goal(px, py) else Cause.NONE
+            # EnvSettings.in_goal, then in_lava, which wins where both hold.
+            dx, dy = px - gx, py - gy
+            cause = _GOAL if sqrt(dx * dx + dy * dy) <= radius else _NONE
+            for x0, x1, y0, y1 in lava:
+                if x0 <= px <= x1 and y0 <= py <= y1:
+                    cause = _LAVA
+                    break
+            out.append((px, py, vx, vy, cause))
+        return out
+
+    def transition(self, px, py, vx, vy, fx, fy) -> tuple:
+        """``transitions`` of one row: the next ``(px, py, vx, vy, cause)`` under ``(fx, fy)``."""
+        return self.transitions(((px, py, vx, vy),), ((fx, fy),))[0]
 
     def step(self, force) -> StepResult:
-        """Advance one ``transition`` under the ``(fx, fy)`` force pair; count and reward it.
+        """Advance one ``transitions`` row under the ``(fx, fy)`` force pair; count and reward it.
 
         Times out at ``horizon``. Raises EpisodeOverError after termination.
         """
         if self._terminated:
             raise EpisodeOverError("step() called on a terminated episode; reset first")
-        fx, fy = force
-        self._px, self._py, self._vx, self._vy, cause = self.transition(
-            self._px, self._py, self._vx, self._vy, fx, fy)
+        (self._px, self._py, self._vx, self._vy, cause), = self.transitions(
+            ((self._px, self._py, self._vx, self._vy),), (force,))
         self._steps += 1
-        terminated = cause is not Cause.NONE
+        terminated = cause is not _NONE
         reward = 0.0
         if terminated:
-            reward = self.lava_reward if cause is Cause.LAVA else self.goal_reward
+            reward = self.lava_reward if cause is _LAVA else self.goal_reward
         elif self._steps >= self.horizon:
-            cause, terminated = Cause.TIMEOUT, True
+            cause, terminated = _TIMEOUT, True
         self._terminated = terminated
         return StepResult(reward, terminated, cause)
 
     def step_batch(
         self, states: np.ndarray, forces: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Step N independent rows at once; row i equals ``transition`` of row i.
+        """Step N independent rows at once; row i equals row i of ``transitions``.
 
         ``states`` is ``(N, 4)`` ``[px, py, vx, vy]`` and ``forces`` is
         ``(N, 2)``. Returns the next states and two ``(N,)`` bool masks:
@@ -432,14 +451,14 @@ class LavaBridgeEnv:
         ``(N, 4)`` array laid out column by column (Fortran order), so each
         of its columns is contiguous; fed back in, it steps without a copy.
 
-        Row i matches ``transition`` bit for bit, in state and cause, because
+        Row i matches ``transitions`` bit for bit, in state and cause, because
         both paths run the same correctly rounded IEEE-754 operations in the
         same order; the norms are ``sqrt(x * x + y * y)`` on both, and neither
         Python nor separate numpy ufuncs fuse them into an FMA. The speed clip
         and the wall clamps touch only the rows that take them; on the others
-        ``transition`` leaves the values alone too. Rows are reachable states
+        ``transitions`` leaves the values alone too. Rows are reachable states
         (finite, within the world, at most ``v_max`` fast), so the squares
-        cannot overflow. Like ``transition``, this is a pure function of its
+        cannot overflow. Like ``transitions``, this is a pure function of its
         arguments, and timeouts are left to the caller.
         """
         s = np.asarray(states, dtype=np.float64)

@@ -1,7 +1,9 @@
 from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 import pytest
 
+from lavabridge import config
 from lavabridge.config import (
     EnvSettings,
     RunConfig,
@@ -317,6 +319,21 @@ class TestRoundTrip:
         path = tmp_path / "config.txt"
         path.write_text(LEGACY_TEXT)
         assert load_run_config(path).to_text() == LEGACY_REWRITTEN
+
+    def test_sections_are_resolved_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return get_type_hints(*args, **kwargs)
+
+        monkeypatch.setattr(config, "get_type_hints", counted)
+        RunConfig(method="sac")
+        before = len(calls)
+        RunConfig(method="sac").to_text()
+        assert len(calls) == before
+        with pytest.raises(TypeError):
+            config._SECTION_TYPES["extra"] = SamplerConfig
 
     def test_unset_archive_round_trips(self):
         cfg = RunConfig(method="sac")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lavabridge.env import (
     EpisodeOverError,
     InvalidResetError,
     LavaBridgeEnv,
+    Rect,
     State,
     Vec2,
 )
@@ -333,23 +335,29 @@ def assert_rows_match_scalar_step(env, rows, forces):
 
 
 @st.composite
-def reset_rows(draw):
-    """A valid reset state: anywhere, hugging a wall, at a lava edge or near the goal."""
-    region = draw(st.sampled_from(["world", "wall", "lava-edge", "goal"]))
+def reset_rows(draw, geo=EnvSettings()):
+    """A valid reset state of ``geo``: anywhere, hugging a wall, at a lava edge or near the goal."""
+    w, goal, near = geo.world, geo.goal, geo.goal_radius + 0.3
+    region = draw(st.sampled_from(["world", "wall", "lava-edge", "goal"] if geo.lava else
+                                  ["world", "wall", "goal"]))
     if region == "world":
-        px, py = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
+        px, py = draw(st.floats(w.xmin, w.xmax)), draw(st.floats(w.ymin, w.ymax))
     elif region == "wall":
-        px = draw(st.one_of(st.floats(0.0, 0.2), st.floats(9.8, 10.0)))
-        py = draw(st.one_of(st.floats(0.0, 0.2), st.floats(9.8, 10.0), st.floats(0.0, 10.0)))
+        px = draw(st.one_of(st.floats(w.xmin, w.xmin + 0.2), st.floats(w.xmax - 0.2, w.xmax)))
+        py = draw(st.one_of(st.floats(w.ymin, w.ymin + 0.2), st.floats(w.ymax - 0.2, w.ymax),
+                            st.floats(w.ymin, w.ymax)))
     elif region == "lava-edge":
-        px = draw(st.floats(3.7, 6.3))
-        py = draw(st.one_of(st.floats(4.5, 4.8), st.floats(5.2, 5.5), st.floats(0.0, 10.0)))
+        # Beside the lava's x span, and just outside each edge that faces open world.
+        px = draw(st.floats(min(r.xmin for r in geo.lava) - 0.3, max(r.xmax for r in geo.lava) + 0.3))
+        edges = [st.floats(r.ymax, r.ymax + 0.3) for r in geo.lava if r.ymax < w.ymax]
+        edges += [st.floats(r.ymin - 0.3, r.ymin) for r in geo.lava if r.ymin > w.ymin]
+        py = draw(st.one_of(*edges, st.floats(w.ymin, w.ymax)))
     else:
-        px, py = draw(st.floats(8.3, 9.7)), draw(st.floats(4.3, 5.7))
-    speed = draw(st.one_of(st.floats(0.0, 2.0), st.just(2.0)))
+        px, py = draw(st.floats(goal.x - near, goal.x + near)), draw(st.floats(goal.y - near, goal.y + near))
+    speed = draw(st.one_of(st.floats(0.0, geo.v_max), st.just(geo.v_max)))
     angle = draw(st.floats(0.0, 2 * math.pi))
     row = (px, py, speed * math.cos(angle), speed * math.sin(angle))
-    assume(not EnvSettings().in_lava(px, py))
+    assume(w.contains(px, py) and not geo.in_lava(px, py))
     return row
 
 
@@ -515,26 +523,84 @@ def transition_bits(env, row, force):
     return bits([px, py, vx, vy]).tolist(), cause
 
 
+# Every constant transitions reads moved off its default: dynamics, world bounds,
+# narrower lava and a goal disc that reaches into the lower strip; then no lava.
+NARROW = EnvSettings(world=Rect(0.0, 0.0, 10.5, 9.5), dt=0.07, f_max=1.6, v_max=1.4, drag=0.3,
+                     goal=Vec2(6.1, 1.1), goal_radius=0.75,
+                     lava=(Rect(4.6, 0.0, 5.4, 1.5), Rect(4.6, 3.0, 5.4, 9.5)))
+OPEN = replace(NARROW, lava=())
+
+
+def assert_transitions_match(env, rows, forces):
+    """Row i of ``transitions`` equals ``transition`` and row i of ``step_batch`` bit
+    for bit, and its cause is the scalar terminal tests at the next position."""
+    geo = env.geometry
+    got = env.transitions(rows, forces)
+    nxt, lava, goal = env.step_batch(np.array(rows).reshape(-1, 4), np.array(forces).reshape(-1, 2))
+    assert len(got) == len(rows)
+    for i, (row, force) in enumerate(zip(rows, forces)):
+        *state, cause = got[i]
+        assert transition_bits(env, row, force) == (bits(state).tolist(), cause)
+        assert bits(nxt[i]).tolist() == bits(state).tolist()
+        x, y = state[:2]
+        assert cause is (Cause.LAVA if geo.in_lava(x, y) else Cause.GOAL if geo.in_goal(x, y) else Cause.NONE)
+        assert (bool(lava[i]), bool(goal[i])) == (cause is Cause.LAVA, cause is Cause.GOAL)
+    return got
+
+
 class TestTransition:
     @settings(max_examples=300, deadline=None)
-    @given(row=reset_rows(), force=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
-    def test_equals_step_bitwise(self, row, force):
-        env = LavaBridgeEnv()
+    @given(data=st.data())
+    def test_equals_step_bitwise(self, data):
+        env = LavaBridgeEnv(data.draw(st.sampled_from([EnvSettings(), NARROW, OPEN])))
+        row = data.draw(reset_rows(env.geometry))
+        force = data.draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
         got = transition_bits(env, row, force)
         state, cause = scalar_step(env, row, force)
         assert got == (bits(state).tolist(), cause)
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.lists(st.tuples(reset_rows(), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
-                         min_size=1, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
     def test_step_batch_rows_equal_transition(self, data):
-        env = LavaBridgeEnv()
-        rows, forces = zip(*data)
-        nxt, lava, goal = env.step_batch(np.array(rows), np.array(forces))
-        for i, (row, force) in enumerate(data):
-            state, cause = transition_bits(env, row, force)
-            assert bits(nxt[i]).tolist() == state
-            assert (bool(lava[i]), bool(goal[i])) == (cause is Cause.LAVA, cause is Cause.GOAL)
+        geo = data.draw(st.sampled_from([EnvSettings(), NARROW, OPEN]))
+        pairs = data.draw(st.lists(st.tuples(reset_rows(geo), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
+                                   min_size=1, max_size=24))
+        rows, forces = zip(*pairs)
+        assert_transitions_match(LavaBridgeEnv(geo), rows, forces)
+
+    @pytest.mark.parametrize("geo", [NARROW, OPEN], ids=["narrow", "no-lava"])
+    def test_random_batch_under_other_settings_covers_every_branch(self, geo):
+        # Force clamps, speed clips, wall clamps and, where there is lava, lava
+        # landings, goal landings and the lava-wins overlap all occur.
+        env = LavaBridgeEnv(geo)
+        rng = np.random.default_rng(2)
+        n = 6000
+        angle = rng.uniform(0, 2 * np.pi, n)
+        speed = np.where(np.arange(n) % 2 == 0, geo.v_max, rng.uniform(0, geo.v_max, n))
+        w = geo.world
+        px = np.concatenate([rng.uniform(w.xmin, w.xmax, n // 2), rng.uniform(4.0, 7.0, n - n // 2)])
+        py = np.concatenate([rng.uniform(w.ymin, w.ymax, n // 2), rng.uniform(0.0, 3.5, n - n // 2)])
+        rows = np.stack([px, py, speed * np.cos(angle), speed * np.sin(angle)], axis=1)
+        rows = rows[[not geo.in_lava(x, y) for x, y in rows[:, :2]]]
+        forces = rng.uniform(-2.5, 2.5, (len(rows), 2))
+        got = assert_transitions_match(env, [tuple(r) for r in rows.tolist()], forces.tolist())
+        causes = [c for *_, c in got]
+        nxt = np.array([s for *s, _ in got])
+        assert (np.abs(forces) > geo.f_max).any()
+        v = rows[:, 2:] + (np.clip(forces, -geo.f_max, geo.f_max) - geo.drag * rows[:, 2:]) * geo.dt
+        assert (np.hypot(v[:, 0], v[:, 1]) > geo.v_max).any()
+        for lo, hi, p in ((w.xmin, w.xmax, nxt[:, 0]), (w.ymin, w.ymax, nxt[:, 1])):
+            assert (p == lo).any() and (p == hi).any()
+        assert Cause.GOAL in causes
+        if geo.lava:
+            overlap = [geo.in_goal(s[0], s[1]) for s, c in zip(nxt, causes) if c is Cause.LAVA]
+            assert any(overlap)
+        else:
+            assert Cause.LAVA not in causes
+
+    def test_no_rows_give_no_rows(self):
+        for geo in (EnvSettings(), NARROW, OPEN):
+            assert LavaBridgeEnv(geo).transitions([], []) == []
 
     def test_evaluate_never_resets_snapshots_or_steps_the_env(self, monkeypatch):
         from lavabridge.bench import evaluate

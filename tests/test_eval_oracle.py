@@ -5,7 +5,8 @@ same ``act_batch`` calls on the same inputs, for learned and scripted
 policies, both start sets, 1-50 episodes, and horizons below, at and above
 the env's own. The near-goal geometry puts one start blob beside the goal
 disc and one at the mouth of the bridge, so goal endings, lava endings and
-timeouts mix within one call.
+timeouts mix within one call. The moved geometry does the same with every
+dynamics, bounds, lava, goal and reward constant off its default.
 """
 
 import numpy as np
@@ -14,10 +15,15 @@ from hypothesis import strategies as st
 
 from eval_oracle import snapshot_evaluate
 from lavabridge.bench import evaluate
-from lavabridge.env import Cause, EnvSettings, LavaBridgeEnv, Vec2
+from lavabridge.env import Cause, EnvSettings, LavaBridgeEnv, Rect, Vec2
 from lavabridge.learner import LearnerConfig, SACLearner
 
 NEAR_GOAL = EnvSettings(start_blobs=((Vec2(7.5, 5.0), 0.6), (Vec2(3.0, 5.0), 0.8)))
+# Starts beside the goal, before a narrow gap and far back, under slower dynamics.
+MOVED = EnvSettings(world=Rect(0.0, 0.0, 10.5, 9.5), lava=(Rect(4.5, 0.0, 5.5, 2.5), Rect(4.5, 3.5, 5.5, 9.5)),
+                    goal=Vec2(7.0, 3.0), goal_radius=0.6,
+                    start_blobs=((Vec2(6.0, 3.0), 0.6), (Vec2(2.5, 3.0), 1.0), (Vec2(0.5, 3.0), 0.2)),
+                    dt=0.08, f_max=0.9, v_max=1.2, drag=0.2, goal_reward=2.0, lava_reward=-0.5)
 
 
 class GoalSeeker:
@@ -63,7 +69,7 @@ def policies(draw, geometry):
 
 @st.composite
 def eval_cases(draw):
-    geometry = draw(st.sampled_from([EnvSettings(), NEAR_GOAL]))
+    geometry = draw(st.sampled_from([EnvSettings(), NEAR_GOAL, MOVED]))
     env_horizon = draw(st.sampled_from([30, 60, 150]))
     horizon = draw(st.sampled_from([1, env_horizon // 2, env_horizon - 1, env_horizon,
                                     env_horizon + 1, 2 * env_horizon]))
@@ -100,13 +106,21 @@ def test_evaluate_equals_snapshot_oracle(case):
 
 
 def test_near_goal_case_mixes_goal_lava_and_timeout_endings():
-    # The fixed case the property test's near-goal draws stand for, with each
-    # episode's ending and length found by rolling it out on its own.
-    case = dict(geometry=NEAR_GOAL, env_horizon=60, policy=GoalSeeker(NEAR_GOAL, 0.5, 0.0, (0.0, 0.0)),
+    assert_fixed_case_mixes_endings(NEAR_GOAL)
+
+
+def test_moved_case_mixes_goal_lava_and_timeout_endings():
+    assert_fixed_case_mixes_endings(MOVED)
+
+
+def assert_fixed_case_mixes_endings(geometry):
+    # The fixed case the property test's draws of ``geometry`` stand for, with
+    # each episode's ending and length found by rolling it out on its own.
+    case = dict(geometry=geometry, env_horizon=60, policy=GoalSeeker(geometry, 0.5, 0.0, (0.0, 0.0)),
                 which="p0", n_episodes=20, horizon=60, gamma=0.99, seed=0)
     (got, _), (want, _) = run_both(**case)
     assert bits(got) == bits(want)
-    env = LavaBridgeEnv(NEAR_GOAL, horizon=60)
+    env = LavaBridgeEnv(geometry, horizon=60)
     rng = np.random.default_rng(0)
     endings = []
     for _ in range(20):
