@@ -13,7 +13,8 @@ Metrics are one CSV row per episode (plus one initial evaluation row):
     step,episode,ep_len,ep_return,cause,id_success,ood_success,id_return,ood_return
 
 with the four evaluation columns filled only on rows where a checkpoint
-evaluation ran.
+evaluation ran. Every table of a run or sweep directory is written by
+``write_csv``, each cell in ``config.txt``'s value text.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
     "run_training",
     "sweep",
     "aggregate_runs",
-    "write_metrics_csv",
+    "write_csv",
     "read_metrics_csv",
     "METRICS_HEADER",
 ]
@@ -225,13 +226,17 @@ class TrainingRun:
                   f"ood={row.ood_success:.2f}", flush=True)
 
     def save(self, out_dir) -> None:
-        """Write metrics.csv, checkpoint.npz, config.txt and any sampler_weights.csv."""
+        """Write metrics.csv, checkpoint.npz, config.txt and, for a weighted start
+        rule, sampler_weights.csv (``index,px,py,vx,vy,weight`` per demo state)."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / "metrics.csv", self.rows)
+        write_csv(out_dir / "metrics.csv", METRICS_HEADER,
+                  ([getattr(r, name) for name in METRICS_HEADER] for r in self.rows))
         save_checkpoint(out_dir / "checkpoint.npz", self.learner.named_networks())
         if isinstance(self.sampler, StartStateSampler):
-            self.sampler.snapshot_csv(out_dir / "sampler_weights.csv")
+            weights = self.sampler.weights.w.tolist()
+            write_csv(out_dir / "sampler_weights.csv", ["index", "px", "py", "vx", "vy", "weight"],
+                      ([j, *s, weights[j]] for j, s in enumerate(self.sampler.demo.tolist())))
         (out_dir / "config.txt").write_text(self.config.to_text())
 
 
@@ -241,9 +246,9 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> Trainin
     Time advances by realized episode lengths, so the last episode may end
     past ``t_max``. A demo archive state that is not a valid reset target
     raises ``InvalidResetError`` while the run is built, before anything is
-    written. When ``out_dir`` is given, metrics.csv, checkpoint.npz,
-    config.txt (the effective config) and, for the methods whose start rule
-    holds weights, sampler_weights.csv are written into it at the end.
+    written. When ``out_dir`` is given, ``TrainingRun.save`` writes metrics.csv,
+    checkpoint.npz, config.txt (the effective config) and, for the methods whose
+    start rule holds weights, sampler_weights.csv into it at the end.
     """
     run = TrainingRun(cfg, verbose=verbose)
     while run.env_steps < cfg.t_max:
@@ -253,15 +258,19 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> Trainin
     return run
 
 
-# -- metrics files --------------------------------------------------------------
+# -- tables -----------------------------------------------------------------------
 
 
-def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as one CSV line, each cell as
+    ``config.format_value`` gives it, so ``config.parse_value`` reads every float back
+    bit for bit. The package's one table writer.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for r in rows:
-            writer.writerow([format_value(getattr(r, name)) for name in METRICS_HEADER])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_value(v) for v in row])
 
 
 def read_metrics_csv(path) -> list[MetricsRow]:
@@ -302,9 +311,9 @@ def _job_env() -> dict:
 def sweep(cfg: RunConfig, seeds, out_dir, jobs: int = 1, verbose: bool = False) -> Path:
     """Run one config across seeds as isolated subprocesses and aggregate.
 
-    Each (config, seed) job gets its own process and run directory. Failures
-    are recorded in jobs.csv; aggregation proceeds over the completers.
-    Returns the aggregate CSV path.
+    Each (config, seed) job gets its own process and run directory. Every job's
+    seed, status, runtime_s and last error line go to jobs.csv; aggregation
+    proceeds over the completers into aggregate.csv, whose path is returned.
     """
     seeds = list(seeds)
     if not seeds:
@@ -318,7 +327,8 @@ def sweep(cfg: RunConfig, seeds, out_dir, jobs: int = 1, verbose: bool = False) 
     config_path = out_dir / "config.txt"
     config_path.write_text(cfg.to_text())
 
-    def run_job(seed: int) -> dict:
+    def run_job(seed: int) -> tuple:
+        """One ``jobs.csv`` row: seed, status, runtime_s, error."""
         run_dir = out_dir / f"seed_{seed}"
         cmd = [
             sys.executable, "-m", "lavabridge.cli", "train",
@@ -331,35 +341,21 @@ def sweep(cfg: RunConfig, seeds, out_dir, jobs: int = 1, verbose: bool = False) 
         if verbose:
             print(f"[sweep] seed {seed}: {status} in {elapsed:.1f}s", flush=True)
         err_lines = proc.stderr.strip().splitlines()
-        return {
-            "seed": seed,
-            "status": status,
-            "runtime_s": round(elapsed, 2),
-            "error": "" if proc.returncode == 0 else (err_lines[-1] if err_lines else "unknown"),
-        }
+        error = "" if proc.returncode == 0 else (err_lines[-1] if err_lines else "unknown")
+        return seed, status, round(elapsed, 2), error
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(run_job, seeds))
 
-    with open(out_dir / "jobs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "status", "runtime_s", "error"])
-        for r in results:
-            writer.writerow([r["seed"], r["status"], r["runtime_s"], r["error"]])
-
-    completed = [out_dir / f"seed_{r['seed']}" for r in results if r["status"] == "ok"]
-    agg_rows = aggregate_runs(completed, cfg.eval_interval)
+    write_csv(out_dir / "jobs.csv", ["seed", "status", "runtime_s", "error"], results)
+    completed = [out_dir / f"seed_{seed}" for seed, status, *_ in results if status == "ok"]
     agg_path = out_dir / "aggregate.csv"
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "step", "n_seeds",
-            "id_success_median", "id_success_q25", "id_success_q75",
-            "ood_success_median", "ood_success_q25", "ood_success_q75",
-            "id_return_median", "ood_return_median",
-        ])
-        for row in agg_rows:
-            writer.writerow([format_value(v) for v in row])
+    write_csv(agg_path, [
+        "step", "n_seeds",
+        "id_success_median", "id_success_q25", "id_success_q75",
+        "ood_success_median", "ood_success_q25", "ood_success_q75",
+        "id_return_median", "ood_return_median",
+    ], aggregate_runs(completed, cfg.eval_interval))
     return agg_path
 
 

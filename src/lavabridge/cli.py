@@ -23,7 +23,7 @@ from .config import load_run_config
 from .demos import generate_demos, save_archive
 from .learner import SACLearner
 from .rngs import substream
-from .safety import safety_field, save_safety_field_csv
+from .safety import safety_field
 
 
 def _int_at_least(low: int, what: str):
@@ -130,7 +130,7 @@ def cmd_safety_map(args) -> int:
     rng = substream(args.seed, "sampler", 2)
     rows = safety_field(env, cfg.sampler.k_safety, cfg.sampler.n_safety_rollouts, rng,
                         nx=args.grid, ny=args.grid)
-    save_safety_field_csv(args.out, rows)
+    bench.write_csv(args.out, ["px", "py", "omega"], rows)
     print(f"wrote {len(rows)} cells to {args.out}")
     return 0
 

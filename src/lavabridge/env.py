@@ -12,7 +12,7 @@ for one state, ``(n, 4)`` for many. A force is an ``(fx, fy)`` pair of
 floats. ``EnvSettings`` holds every constant of the world: its geometry
 (``Rect`` and ``Vec2`` values), dynamics and rewards. ``State`` is kept only
 as the argument of ``is_terminal``. One pure ``LavaBridgeEnv.transitions`` over
-rows is the scalar dynamics that ``transition``, ``step`` and ``evaluate`` run.
+rows is the scalar dynamics that ``step`` and ``evaluate`` run.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ class LavaBridgeEnv:
 
         Rows are ``(px, py, vx, vy)`` and pairs ``(fx, fy)``, matched by index. Pure:
         ``cause`` is LAVA, else GOAL where the next state lies, else NONE. The one scalar
-        form of the dynamics: ``transition``, ``step`` and ``bench.evaluate`` run it.
+        form of the dynamics: ``step`` and ``bench.evaluate`` run it.
         """
         f_max, dt, drag, v_max, xmin, xmax, ymin, ymax, lava, gx, gy, radius = self._consts
         sqrt = math.sqrt
@@ -415,10 +415,6 @@ class LavaBridgeEnv:
                     break
             out.append((px, py, vx, vy, cause))
         return out
-
-    def transition(self, px, py, vx, vy, fx, fy) -> tuple:
-        """``transitions`` of one row: the next ``(px, py, vx, vy, cause)`` under ``(fx, fy)``."""
-        return self.transitions(((px, py, vx, vy),), ((fx, fy),))[0]
 
     def step(self, force) -> StepResult:
         """Advance one ``transitions`` row under the ``(fx, fy)`` force pair; count and reward it.

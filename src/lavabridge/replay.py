@@ -81,7 +81,7 @@ class ReplayBuffer:
 
 
 def prefill_demo(buffer: ReplayBuffer, states, actions, rewards, next_states, dones) -> None:
-    """Copy n demonstration transitions, given as five arrays of n rows, into the frozen prefix.
+    """Add n demonstration transitions, given as five arrays of n rows, as the frozen prefix.
 
     Must be called on a fresh buffer; the prefix is never evicted afterwards.
     """
@@ -90,11 +90,6 @@ def prefill_demo(buffer: ReplayBuffer, states, actions, rewards, next_states, do
         raise ValueError("prefill requires an empty buffer")
     if n > buffer.capacity:
         raise ValueError(f"{n} demo transitions exceed capacity {buffer.capacity}")
-    buffer.states[:n] = states
-    buffer.actions[:n] = actions
-    buffer.rewards[:n] = rewards
-    buffer.next_states[:n] = next_states
-    buffer.dones[:n] = dones
+    for row in zip(states, actions, rewards, next_states, dones):
+        buffer.add(*row)
     buffer.frozen_prefix_len = n
-    buffer._size = n
-    buffer._pos = n if n < buffer.capacity else 0

@@ -43,7 +43,6 @@ __all__ = [
     "uniform_random_policy",
     "estimate_safety",
     "safety_field",
-    "save_safety_field_csv",
 ]
 
 # Most rollout rows stepped as one array; bounds the estimator's memory.
@@ -150,10 +149,3 @@ def safety_field(
     policy = uniform_random_policy(env.f_max)
     omega[open_cells] = estimate_safety(env, cells[open_cells], policy, k, n, rng).value
     return list(zip(cells[:, 0].tolist(), cells[:, 1].tolist(), omega.tolist()))
-
-
-def save_safety_field_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("px,py,omega\n")
-        for px, py, omega in rows:
-            fh.write(f"{px:.17g},{py:.17g},{omega:.17g}\n")

@@ -21,7 +21,6 @@ an ``(n, 4)`` float64 array of demo states (categorical sampling probability
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,14 +155,6 @@ class StartStateSampler:
 
     def observe(self, i: int, ep_len: int, cause: Cause, t: int) -> None:
         """Episode feedback; t is the cumulative env-step counter after the episode."""
-
-    def snapshot_csv(self, path) -> None:
-        """Dump (index, state, weight) rows for inspection."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "px", "py", "vx", "vy", "weight"])
-            for j, (s, w) in enumerate(zip(self.demo.tolist(), self.weights.w.tolist())):
-                writer.writerow([j, *(f"{v:.17g}" for v in s), f"{w:.17g}"])
 
 
 class EpisodeLengthSampler(StartStateSampler):

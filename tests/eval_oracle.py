@@ -4,7 +4,7 @@
 to each and keeps its snapshot; then each step makes one ``act_batch`` call
 over the episodes still running and steps each of them on the env from its
 own snapshot. It shares no code with ``evaluate``'s walk over
-``LavaBridgeEnv.transition``: timeouts come from the env's step counter and
+``LavaBridgeEnv.transitions``: timeouts come from the env's step counter and
 every step's reward is added, zero or not.
 """
 

@@ -49,3 +49,5 @@ def test_package_imports_only_numpy_and_the_standard_library():
                             ("samplers.py", "demos")):
         assert not [m for level, m in imports[name] if level and m.split(".")[0] == forbidden], \
             f"{name} imports {forbidden}"
+    # Every table goes through bench.write_csv, so one module holds the CSV format.
+    assert [name for name, found in imports.items() if (0, "csv") in found] == ["bench.py"]

@@ -1,21 +1,22 @@
 import csv
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from lavabridge import bench
 from lavabridge.bench import (
+    METRICS_HEADER,
     MetricsRow,
     TrainingRun,
     aggregate_runs,
     evaluate,
     read_metrics_csv,
     run_training,
-    write_metrics_csv,
+    write_csv,
 )
-from lavabridge.config import METHODS, RunConfig, config_from_mapping
+from lavabridge.config import METHODS, RunConfig, config_from_mapping, format_value, parse_value
 from lavabridge.demos import save_archive, scripted_expert
 from lavabridge.env import Cause, InvalidResetError, LavaBridgeEnv
 from lavabridge.learner import LearnerConfig, SACLearner
@@ -298,7 +299,7 @@ class TestTrainingRun:
         # perfbench's tracer swaps these module globals. A run that bound them
         # early would bypass the swap, and the traced bench.* and io.* metrics
         # would read 0.
-        calls = dict.fromkeys(["train_for_one_episode", "evaluate", "write_metrics_csv",
+        calls = dict.fromkeys(["train_for_one_episode", "evaluate", "write_csv",
                                "save_checkpoint"], 0)
 
         def counting(name):
@@ -314,7 +315,40 @@ class TestTrainingRun:
         run = run_training(tiny_config("auxss", archive_path), out_dir=tmp_path / "run")
         assert len(run.evals) >= 2
         assert calls == {"train_for_one_episode": run.episodes, "evaluate": 2 * len(run.evals),
-                         "write_metrics_csv": 1, "save_checkpoint": 1}
+                         "write_csv": 2, "save_checkpoint": 1}
+
+
+def write_metrics(path, rows):
+    """metrics.csv as ``TrainingRun.save`` writes it: one line per row, in field order."""
+    write_csv(path, METRICS_HEADER, [astuple(r) for r in rows])
+
+
+class TestWriteCsv:
+    def test_cells_are_config_codec_text(self, tmp_path):
+        rows = [[0, 0.1, None, "a,b", Cause.GOAL, True], [7, 1 / 3, -0.0, "", Cause.LAVA, False]]
+        path = tmp_path / "t.csv"
+        write_csv(path, ["i", "x", "y", "s", "cause", "flag"], rows)
+        assert path.read_bytes() == (b'i,x,y,s,cause,flag\r\n0,0.1,,"a,b",goal,true\r\n'
+                                     b'7,0.3333333333333333,-0.0,,lava,false\r\n')
+        with open(path, newline="") as fh:
+            cells = list(csv.reader(fh))[1:]
+        assert cells == [[format_value(v) for v in row] for row in rows]
+
+    def test_floats_read_back_bit_for_bit(self, tmp_path):
+        values = np.random.default_rng(4).normal(size=200) * 10.0 ** np.arange(-100, 100)
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x"], ([v] for v in values.tolist()))
+        with open(path, newline="") as fh:
+            back = np.array([parse_value(float, c) for c, in list(csv.reader(fh))[1:]])
+        assert back.tobytes() == values.tobytes()
+
+    def test_sweep_tables_keep_their_cell_text(self, tmp_path):
+        # format_value gives jobs.csv's ints, strings and rounded floats their str() text.
+        rows = [(3, "ok", 12.34, ""), (4, "failed", 0.5, "ValueError: x, y")]
+        path = tmp_path / "jobs.csv"
+        write_csv(path, ["seed", "status", "runtime_s", "error"], rows)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [[str(v) for v in r] for r in rows]
 
 
 class TestMetricsCsv:
@@ -326,7 +360,7 @@ class TestMetricsCsv:
             MetricsRow(step=17, episode=1, ep_len=17, ep_return=-1.0, cause=Cause.LAVA),
         ]
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, rows)
+        write_metrics(path, rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,episode,ep_len,ep_return,cause,id_success,ood_success,id_return,ood_return"
         assert lines[1].startswith("0,0,,,")
@@ -341,7 +375,7 @@ class TestMetricsCsv:
                                    cause=cause, id_success=1 / 3 if i == 2 else None,
                                    ood_success=0.0 if i == 2 else None))
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, rows)
+        write_metrics(path, rows)
         parsed = read_metrics_csv(path)
         assert parsed == rows
         assert [type(r.cause) for r in parsed[1:]] == [Cause] * len(Cause)
@@ -350,7 +384,7 @@ class TestMetricsCsv:
     @pytest.mark.parametrize("line", ["9,1,9,1.0,goal,,,", "9,1,9,1.0,goal,,,,,"])
     def test_row_of_the_wrong_length_rejected(self, tmp_path, line):
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, [])
+        write_metrics(path, [])
         with open(path, "a") as fh:
             fh.write(line + "\n")
         # Every cell parses: only the count is wrong.
@@ -360,7 +394,7 @@ class TestMetricsCsv:
 
     def test_unknown_cause_rejected(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, [])
+        write_metrics(path, [])
         with open(path, "a") as fh:
             fh.write("9,1,9,1.0,fire,,,,\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}, line 2: .*fire"):
@@ -374,7 +408,7 @@ class TestAggregation:
         for step, id_s, ood_s in eval_rows:
             rows.append(MetricsRow(step=step, episode=step, id_success=id_s,
                                    ood_success=ood_s, id_return=id_s, ood_return=ood_s))
-        write_metrics_csv(run_dir / "metrics.csv", rows)
+        write_metrics(run_dir / "metrics.csv", rows)
 
     def test_median_and_quartiles_across_seeds(self, tmp_path):
         # Eval rows land just past each checkpoint; alignment buckets them.

@@ -519,7 +519,8 @@ class TestTerminalMasks:
 
 
 def transition_bits(env, row, force):
-    px, py, vx, vy, cause = env.transition(*row, *force)
+    """``transitions`` of the one row ``row`` under ``force``, its state as bits."""
+    (px, py, vx, vy, cause), = env.transitions([tuple(row)], [tuple(force)])
     return bits([px, py, vx, vy]).tolist(), cause
 
 
@@ -532,8 +533,9 @@ OPEN = replace(NARROW, lava=())
 
 
 def assert_transitions_match(env, rows, forces):
-    """Row i of ``transitions`` equals ``transition`` and row i of ``step_batch`` bit
-    for bit, and its cause is the scalar terminal tests at the next position."""
+    """Row i of ``transitions`` equals a one-row ``transitions`` call and row i of
+    ``step_batch`` bit for bit, and its cause is the scalar terminal tests at the next
+    position."""
     geo = env.geometry
     got = env.transitions(rows, forces)
     nxt, lava, goal = env.step_batch(np.array(rows).reshape(-1, 4), np.array(forces).reshape(-1, 2))

@@ -252,6 +252,16 @@ class TestTrainForOneEpisode:
         assert 1 <= result.length <= 50
         assert len(buf) == result.length
 
+    def test_env_state_stays_python_floats(self):
+        # act returns a pair of floats, so step keeps the state in floats; a numpy
+        # force would turn every entry into np.float64 and make step ~1.7x slower.
+        env = LavaBridgeEnv(horizon=20)
+        learner = mk_learner(seed=14)
+        buf = ReplayBuffer(capacity=64)
+        result = train_for_one_episode(env, mk_state(2.0, 2.0), learner, buf)
+        assert result.length > 1
+        assert [type(v) for v in env.snapshot()[:4]] == [float] * 4
+
     def test_timeout_stored_as_not_done(self):
         env = LavaBridgeEnv(horizon=5)
         learner = mk_learner(seed=12)

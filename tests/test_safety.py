@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from lavabridge.bench import write_csv
+from lavabridge.config import parse_value
 from lavabridge.env import EnvSettings, InvalidResetError, LavaBridgeEnv, Vec2
 from lavabridge import safety as safety_mod
 from lavabridge.safety import (
     SafetyEstimate,
     estimate_safety,
     safety_field,
-    save_safety_field_csv,
     uniform_random_policy,
 )
 from safety_oracle import action_grid, brute_force_safety
@@ -253,10 +254,12 @@ class TestSafetyField:
         assert by_pos[(9.0, 5.0)] == 1.0   # goal cell
         assert all(0.0 <= om <= 1.0 for _, _, om in rows)
         out = tmp_path / "field.csv"
-        save_safety_field_csv(out, rows)
+        write_csv(out, ["px", "py", "omega"], rows)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "px,py,omega"
         assert len(lines) == 122
+        back = [tuple(parse_value(float, c) for c in line.split(",")) for line in lines[1:]]
+        assert np.array(back).tobytes() == np.array(rows).tobytes()
 
     @pytest.mark.parametrize("kw", [dict(nx=0), dict(ny=0), dict(nx=-1, ny=3), dict(k=0), dict(n=0)])
     def test_bad_grid_or_budget_rejected(self, env, kw):

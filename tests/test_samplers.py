@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lavabridge.bench import run_training
+from lavabridge.config import format_value
 from lavabridge.demos import save_archive
 from lavabridge.env import Cause, LavaBridgeEnv, Vec2
 from lavabridge.samplers import (
@@ -344,6 +345,10 @@ class TestSnapshotCsv:
         written = np.array([float(r[5]) for r in rows[1:]])
         assert written.tobytes() == result.sampler.weights.w.tobytes()
         assert len(set(written.tolist())) > 1  # the run moved the weights
+        # Every cell is in the config codec's text, as metrics.csv's are.
+        assert [r[5] for r in rows[1:]] == [format_value(w) for w in result.sampler.weights.w.tolist()]
+        assert [r[1:5] for r in rows[1:]] == [[format_value(v) for v in s]
+                                             for s in result.sampler.demo.tolist()]
 
 
 class TestSamplerConfigValidation:
