@@ -167,8 +167,8 @@ class TrainingRun:
         if needs_archive(cfg.method):
             archive = load_archive(cfg.demo_archive, goal_reward=cfg.env.goal_reward,
                                    expected_geometry_hash=self.env.geometry_hash())
-            # Every demo state is a future reset target; reject a bad one before any run starts.
-            self.env.check_states(archive.demo_states())
+            # Reject an archive the env could not have produced before any run starts.
+            archive.check(self.env)
 
         self.learner = SACLearner(cfg.learner, f_max=cfg.env.f_max,
                                   init_rng=substream(cfg.seed, "learner-init"),
@@ -244,11 +244,11 @@ def run_training(cfg: RunConfig, out_dir=None, verbose: bool = False) -> Trainin
     """Run one seeded training job until it has taken ``t_max`` environment steps.
 
     Time advances by realized episode lengths, so the last episode may end
-    past ``t_max``. A demo archive state that is not a valid reset target
-    raises ``InvalidResetError`` while the run is built, before anything is
-    written. When ``out_dir`` is given, ``TrainingRun.save`` writes metrics.csv,
-    checkpoint.npz, config.txt (the effective config) and, for the methods whose
-    start rule holds weights, sampler_weights.csv into it at the end.
+    past ``t_max``. An archive that ``DemoArchive.check`` rejects stops the run
+    while it is built, before anything is written. When ``out_dir`` is given,
+    ``TrainingRun.save`` writes metrics.csv, checkpoint.npz, config.txt (the
+    effective config) and, for the methods whose start rule holds weights,
+    sampler_weights.csv into it at the end.
     """
     run = TrainingRun(cfg, verbose=verbose)
     while run.env_steps < cfg.t_max:

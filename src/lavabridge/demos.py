@@ -9,17 +9,18 @@ Archive CSV layout (after ``# key = value`` metadata comment lines):
 
     episode,t,px,py,vx,vy,ax,ay,r,done
 
-Each trajectory of length L occupies L+1 rows: rows t=0..L-1 hold the
-transition taken at step t (state, action, reward, done flag), and one
-trailing row t=L carries the terminal state reached (with zero action and
-reward, done=1) so next-states round-trip exactly. Floats are written with
-17 significant digits, which is lossless for binary64.
+Each trajectory of length L is one block of L+1 rows, the blocks in
+ascending episode id order. Rows t=0..L-1 hold the transition taken at step t
+(state, action, reward, done flag), and one trailing row t=L carries the
+terminal state reached (with zero action and reward, done=1) so next-states
+round-trip exactly. Floats are written with 17 significant digits, which is
+lossless for binary64, and must be finite.
 
-The done flags are fixed by the format: every kept trajectory ends at the
-goal, so only its last transition is done. ``DemoTrajectory`` therefore holds
-the L+1 states, L forces and L rewards of its block and no flags;
-``load_archive`` still checks the file's done column, since the file is
-outside input.
+Every kept trajectory ends at the goal, so the format fixes the ``t``, ``r``
+and ``done`` columns: each step pays 0 but the last, which pays
+``goal_reward`` and is the only one done. ``DemoTrajectory`` holds only the
+states and forces; ``load_archive`` checks the fixed columns, since the file
+is outside input.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Cause, EnvSettings, LavaBridgeEnv, Vec2
+from .env import Cause, EnvSettings, InvalidResetError, LavaBridgeEnv, Vec2
 from .rngs import substream
 
 __all__ = [
@@ -91,34 +92,33 @@ class DemoTrajectory:
     """One goal-terminated expert episode of length L.
 
     ``states`` is ``(L+1, 4)``: the state each step was taken from, then the
-    terminal state reached. ``actions`` is ``(L, 2)`` and ``rewards`` ``(L,)``.
-    Only the last transition is done. Equal when every field is.
+    terminal state reached. ``actions`` is ``(L, 2)``. Each step pays 0 but
+    the last, which pays the archive's ``goal_reward`` and is the only done
+    one. Equal when the ids, states and actions are.
     """
 
     episode_id: int
     states: np.ndarray
     actions: np.ndarray
-    rewards: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rewards)
+        return len(self.actions)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DemoTrajectory):
             return NotImplemented
-        return self.episode_id == other.episode_id and all(
-            np.array_equal(a, b) for a, b in ((self.states, other.states),
-                                              (self.actions, other.actions),
-                                              (self.rewards, other.rewards)))
+        return (self.episode_id == other.episode_id and np.array_equal(self.states, other.states)
+                and np.array_equal(self.actions, other.actions))
 
 
 @dataclass(frozen=True)
 class DemoArchive:
-    """Immutable bundle of demo trajectories plus provenance metadata."""
+    """Demo trajectories, their provenance and the ``goal_reward`` each one's last step pays."""
 
     trajectories: tuple[DemoTrajectory, ...]
     seed: int
     geometry_hash: str
+    goal_reward: float
 
     @property
     def n_transitions(self) -> int:
@@ -131,13 +131,29 @@ class DemoArchive:
         dones[np.cumsum([len(t) for t in trajs]) - 1] = 1.0  # each trajectory's last step
         return (self.demo_states(),
                 np.concatenate([t.actions for t in trajs]),
-                np.concatenate([t.rewards for t in trajs]),
+                np.where(dones == 1.0, self.goal_reward, 0.0),
                 np.concatenate([t.states[1:] for t in trajs]),
                 dones)
 
     def demo_states(self) -> np.ndarray:
         """The ``(n_transitions, 4)`` rows each demo action was taken from, in archive order."""
         return np.concatenate([t.states[:-1] for t in self.trajectories])
+
+    def check(self, env: LavaBridgeEnv) -> None:
+        """Reject what ``env`` could not have produced, naming the trajectory: a state that
+        ``env.check_states`` rejects (terminal rows included), a last state outside the goal
+        disc or an earlier one inside it, or a force beyond ``f_max``, which the env clamps."""
+        for traj in self.trajectories:
+            name = f"demo trajectory {traj.episode_id}"
+            try:
+                env.check_states(traj.states)
+            except InvalidResetError as exc:
+                raise InvalidResetError(f"{name}: {exc}") from None
+            _, goal = env.geometry.terminal_masks(traj.states[:, 0], traj.states[:, 1])
+            if np.flatnonzero(goal).tolist() != [len(traj)]:
+                raise ArchiveFormatError(f"{name} must reach the goal disc at its last state, not before")
+            if not (np.abs(traj.actions) <= env.geometry.f_max).all():
+                raise ArchiveFormatError(f"{name} has a force beyond f_max={env.geometry.f_max}")
 
 
 def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArchive:
@@ -163,29 +179,23 @@ def generate_demos(env: LavaBridgeEnv, n_transitions: int, seed: int) -> DemoArc
             )
         states = [env.reset_to(env.sample_start("p0", rng))]
         actions: list[tuple[float, float]] = []
-        rewards: list[float] = []
         while True:
             action = scripted_expert(states[-1], env.geometry)
             res = env.step(action)
             states.append(env.state)
             actions.append(action)
-            rewards.append(res.reward)
             if res.terminated:
                 break
         if res.cause is not Cause.GOAL:
             failures += 1
             continue
-        trajectories.append(DemoTrajectory(len(trajectories), np.array(states),
-                                           np.array(actions), np.array(rewards)))
-        collected += len(rewards)
+        trajectories.append(DemoTrajectory(len(trajectories), np.array(states), np.array(actions)))
+        collected += len(actions)
     excess = collected - n_transitions
     if excess:
         last = trajectories[-1]  # previous total < n, so excess < len(last)
-        trajectories[-1] = DemoTrajectory(last.episode_id, last.states[excess:],
-                                          last.actions[excess:], last.rewards[excess:])
-    return DemoArchive(
-        trajectories=tuple(trajectories), seed=seed, geometry_hash=env.geometry_hash()
-    )
+        trajectories[-1] = DemoTrajectory(last.episode_id, last.states[excess:], last.actions[excess:])
+    return DemoArchive(tuple(trajectories), seed, env.geometry_hash(), env.goal_reward)
 
 
 def subsample_states(archive: DemoArchive, m: int, seed: int) -> np.ndarray:
@@ -207,8 +217,12 @@ def subsample_states(archive: DemoArchive, m: int, seed: int) -> np.ndarray:
 _HEADER = "episode,t,px,py,vx,vy,ax,ay,r,done"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _block(traj: DemoTrajectory, goal_reward: float) -> np.ndarray:
+    """The ``(L+1, 9)`` archive rows of ``traj``, columns ``t`` to ``done``."""
+    n = len(traj)
+    t = np.arange(n + 1)
+    return np.column_stack([t, traj.states, np.vstack([traj.actions, [0.0, 0.0]]),
+                            np.where(t == n - 1, goal_reward, 0.0), t >= n - 1])
 
 
 def save_archive(archive: DemoArchive, path) -> None:
@@ -219,21 +233,22 @@ def save_archive(archive: DemoArchive, path) -> None:
         _HEADER,
     ]
     for traj in archive.trajectories:
-        # The trailing terminal-state row carries zero force and reward; it
-        # and the last transition are the rows flagged done.
-        forces = traj.actions.tolist() + [[0.0, 0.0]]
-        rewards = traj.rewards.tolist() + [0.0]
-        for t, (state, force, r) in enumerate(zip(traj.states.tolist(), forces, rewards)):
-            lines.append(",".join([str(traj.episode_id), str(t), *map(_fmt, state + force + [r]),
-                                   "1" if t >= len(traj) - 1 else "0"]))
+        # 17 significant digits write the whole-number t and done cells as integers.
+        lines += [",".join([str(traj.episode_id), *map("{:.17g}".format, row)])
+                  for row in _block(traj, archive.goal_reward).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_archive(path, expected_geometry_hash: str | None = None, goal_reward: float = 1.0) -> DemoArchive:
-    """Parse and validate an archive; checks the geometry stamp when given."""
+    """Parse and validate an archive; checks the geometry stamp when given.
+
+    Each episode must be one block of finite rows, in ascending id order, whose ``t``, ``r``,
+    ``done`` and terminal-force cells are the ones the format fixes for a last step paying
+    ``goal_reward``. Raises ``ArchiveFormatError`` naming the line or episode at fault.
+    """
     meta: dict[str, str] = {}
-    rows: list[tuple[int, int, list[float], int]] = []
+    blocks: list[tuple[int, list[list[float]]]] = []  # (episode id, its rows from t on)
     with open(path) as fh:
         header_seen = False
         for lineno, raw in enumerate(fh, start=1):
@@ -255,61 +270,44 @@ def load_archive(path, expected_geometry_hash: str | None = None, goal_reward: f
                 raise ArchiveFormatError(f"line {lineno}: expected 10 fields, got {len(parts)}")
             try:
                 episode = int(parts[0])
-                t = int(parts[1])
-                vals = [float(v) for v in parts[2:9]]
-                done = int(parts[9])
+                row = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise ArchiveFormatError(f"line {lineno}: {exc}") from None
-            if done not in (0, 1):
-                raise ArchiveFormatError(f"line {lineno}: done flag must be 0 or 1")
-            rows.append((episode, t, vals, done))
+            if not blocks or episode != blocks[-1][0]:
+                if blocks and episode < blocks[-1][0]:
+                    raise ArchiveFormatError(f"line {lineno}: episode {episode} follows episode "
+                                             f"{blocks[-1][0]}; episodes are blocks in id order")
+                blocks.append((episode, []))
+            blocks[-1][1].append(row)
     if not header_seen:
         raise ArchiveFormatError("missing archive header")
     if expected_geometry_hash is not None and meta.get("geometry") != expected_geometry_hash:
-        raise ArchiveFormatError(
-            f"geometry hash mismatch: archive {meta.get('geometry')!r}, env {expected_geometry_hash!r}"
-        )
-
-    by_episode: dict[int, list[tuple[int, list[float], int]]] = {}
-    for episode, t, vals, done in rows:
-        by_episode.setdefault(episode, []).append((t, vals, done))
+        raise ArchiveFormatError(f"geometry hash mismatch: archive {meta.get('geometry')!r}, "
+                                 f"env {expected_geometry_hash!r}")
 
     trajectories: list[DemoTrajectory] = []
-    for episode in sorted(by_episode):
-        erows = by_episode[episode]
-        if [t for t, _, _ in erows] != list(range(len(erows))):
-            raise ArchiveFormatError(f"episode {episode}: non-contiguous step indices")
-        if len(erows) < 2:
+    for episode, rows in blocks:
+        block = np.array(rows)
+        if len(block) < 2:
             raise ArchiveFormatError(f"episode {episode}: truncated (no terminal-state row)")
-        if erows[-1][2] != 1:
-            raise ArchiveFormatError(f"episode {episode}: missing terminal-state row")
-        vals = np.array([v for _, v, _ in erows])
-        dones = [d for _, _, d in erows[:-1]]
-        rewards = vals[:-1, 6]
-        if dones[-1] != 1 or rewards[-1] != goal_reward:
-            raise ArchiveFormatError(f"episode {episode} does not end at the goal")
-        if any(dones[:-1]) or np.any(rewards[:-1] != 0.0):
-            raise ArchiveFormatError(
-                f"episode {episode} has a non-terminal reward or early done flag")
-        trajectories.append(DemoTrajectory(episode, vals[:, :4], vals[:-1, 4:6], rewards))
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ArchiveFormatError(f"episode {episode}: non-finite value at t={int(finite.argmin())}")
+        traj = DemoTrajectory(episode, block[:, 1:5], block[:-1, 5:7])
+        if not np.array_equal(block, _block(traj, goal_reward)):
+            raise ArchiveFormatError(f"episode {episode}: t, r, done or terminal force is not the "
+                                     "format's (steps from 0, reward at the goal step only, no early done)")
+        trajectories.append(traj)
     if not trajectories:
         raise ArchiveFormatError("archive holds no episodes")
 
+    n = sum(len(t) for t in trajectories)
     ints: dict[str, int] = {}
-    for key in ("seed", "transitions"):
-        if key in meta:
-            try:
-                ints[key] = int(meta[key])
-            except ValueError:
-                raise ArchiveFormatError(f"metadata {key} = {meta[key]!r} is not an integer") from None
-    seed = ints.get("seed", -1)
-    n_claimed = ints.get("transitions")
-    archive = DemoArchive(
-        trajectories=tuple(trajectories), seed=seed,
-        geometry_hash=meta.get("geometry", ""),
-    )
-    if n_claimed is not None and n_claimed != archive.n_transitions:
-        raise ArchiveFormatError(
-            f"metadata claims {n_claimed} transitions, file holds {archive.n_transitions}"
-        )
-    return archive
+    for key, default in (("seed", -1), ("transitions", n)):
+        try:
+            ints[key] = int(meta.get(key, default))
+        except ValueError:
+            raise ArchiveFormatError(f"metadata {key} = {meta[key]!r} is not an integer") from None
+    if ints["transitions"] != n:
+        raise ArchiveFormatError(f"metadata claims {ints['transitions']} transitions, file holds {n}")
+    return DemoArchive(tuple(trajectories), ints["seed"], meta.get("geometry", ""), goal_reward)

@@ -17,7 +17,7 @@ from lavabridge.bench import (
     write_csv,
 )
 from lavabridge.config import METHODS, RunConfig, config_from_mapping, format_value, parse_value
-from lavabridge.demos import save_archive, scripted_expert
+from lavabridge.demos import ArchiveFormatError, save_archive, scripted_expert
 from lavabridge.env import Cause, InvalidResetError, LavaBridgeEnv
 from lavabridge.learner import LearnerConfig, SACLearner
 from lavabridge.samplers import (
@@ -216,7 +216,6 @@ class TestRunTraining:
 
     def test_geometry_mismatch_rejected(self, archive_path):
         from lavabridge.config import EnvSettings
-        from lavabridge.demos import ArchiveFormatError
         cfg = tiny_config("auxss", archive_path, env=EnvSettings(goal_radius=0.3))
         with pytest.raises(ArchiveFormatError, match="geometry"):
             run_training(cfg)
@@ -236,6 +235,25 @@ class TestRunTraining:
         with pytest.raises(InvalidResetError, match=r"reset position \(5.0, 2.0\) is inside lava"):
             run_training(cfg, out_dir=tmp_path / "run")
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("field, row, value, message", [
+        # hysac would store a terminal row as the next state of a done, goal-paid transition.
+        ("states", -1, (2.0, 5.0), "goal disc at its last state"),  # ends on the open floor
+        ("states", -3, (9.0, 5.0), "goal disc at its last state"),  # in the goal disc too early
+        # The env clamps forces to f_max, so 5.0 is not the force that was executed.
+        ("actions", 2, (5.0, 0.0), r"force beyond f_max=1\.0"),
+    ], ids=["terminal-row-off-goal", "goal-before-last-state", "force-beyond-f_max"])
+    def test_archive_the_env_could_not_produce_rejected_at_build(self, tmp_path, demo_archive,
+                                                                 field, row, value, message):
+        first = demo_archive.trajectories[0]
+        arr = getattr(first, field).copy()
+        arr[row, :2] = value
+        edited = replace(demo_archive, trajectories=(replace(first, **{field: arr}),
+                                                     *demo_archive.trajectories[1:]))
+        path = tmp_path / "demos.csv"
+        save_archive(edited, path)
+        with pytest.raises(ArchiveFormatError, match=f"demo trajectory {first.episode_id} .*{message}"):
+            TrainingRun(tiny_config("hysac", path))
 
     def test_demo_subset_larger_than_archive_rejected(self, archive_path):
         cfg = tiny_config("auxss", archive_path, demo_subset=401)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lavabridge.demos import (
     ArchiveFormatError,
@@ -9,11 +14,21 @@ from lavabridge.demos import (
     scripted_expert,
     subsample_states,
 )
-from lavabridge.env import Cause, LavaBridgeEnv
+from lavabridge.env import Cause, EnvSettings, LavaBridgeEnv
 
 
 def mk_state(px, py, vx=0.0, vy=0.0):
     return np.array([px, py, vx, vy])
+
+
+def saved_lines(archive, path):
+    """``archive`` as ``save_archive`` writes it: 3 metadata lines, the header, then the rows."""
+    save_archive(archive, path)
+    return path.read_text().splitlines()
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestScriptedExpert:
@@ -73,7 +88,7 @@ class TestGenerateDemos:
         env = LavaBridgeEnv()
         for traj in demo_archive.trajectories:
             assert traj.states.shape == (len(traj) + 1, 4)
-            assert traj.actions.shape == (len(traj), 2) and traj.rewards.shape == (len(traj),)
+            assert traj.actions.shape == (len(traj), 2)
             assert env.geometry.in_goal(*traj.states[-1, :2])
             assert not any(env.geometry.in_goal(px, py) for px, py in traj.states[:-1, :2])
 
@@ -223,3 +238,50 @@ class TestArchiveIO:
         lines = [ln for ln in text.splitlines() if not ln.startswith("# seed")]
         path.write_text("\n".join(lines) + "\n")
         assert load_archive(path).seed == -1
+
+    @pytest.mark.parametrize("terminal, column, value, message", [
+        (False, 6, "nan", "non-finite value at t={t}"),  # ax on line 6
+        (True, 2, "inf", "non-finite value at t={t}"),   # px of the terminal-state row
+        (True, 6, "0.5", "terminal force"),              # the terminal-state row's force is zero
+    ], ids=["nan-force", "inf-terminal-px", "terminal-row-force"])
+    def test_bad_cell_rejected(self, demo_archive, tmp_path, terminal, column, value, message):
+        path = tmp_path / "demos.csv"
+        lines = saved_lines(demo_archive, path)
+        t = len(demo_archive.trajectories[0]) if terminal else 1
+        fields = lines[4 + t].split(",")
+        fields[column] = value
+        lines[4 + t] = ",".join(fields)
+        write_lines(path, lines)
+        with pytest.raises(ArchiveFormatError, match=f"episode 0: .*{message.format(t=t)}"):
+            load_archive(path)
+
+    @pytest.mark.parametrize("layout", ["episode-1-first", "episode-0-split", "id-repeated"])
+    def test_episode_not_one_block_in_id_order_rejected(self, demo_archive, tmp_path, layout):
+        path = tmp_path / "demos.csv"
+        lines = saved_lines(demo_archive, path)
+        a = 4 + len(demo_archive.trajectories[0]) + 1
+        b = a + len(demo_archive.trajectories[1]) + 1
+        ep0, ep1 = lines[4:a], lines[a:b]
+        body = {"episode-1-first": ep1 + ep0,
+                "episode-0-split": ep0[:50] + ep1 + ep0[50:],
+                "id-repeated": ep0 + [ln.replace("1,", "0,", 1) for ln in ep1]}[layout]
+        write_lines(path, lines[:4] + body + lines[b:])
+        with pytest.raises(ArchiveFormatError, match="episode 0[ :]"):
+            load_archive(path)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600), goal_reward=st.sampled_from([1.0, 0.25]))
+def test_saved_archive_loads_back_as_generated(seed, n, goal_reward):
+    env = LavaBridgeEnv(EnvSettings(goal_reward=goal_reward))
+    archive = generate_demos(env, n_transitions=n, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "demos.csv", Path(tmp) / "again.csv"
+        save_archive(archive, path)
+        loaded = load_archive(path, expected_geometry_hash=env.geometry_hash(), goal_reward=goal_reward)
+        save_archive(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    assert loaded == archive  # ids, states, actions, seed, geometry hash and goal_reward
+    assert loaded.goal_reward == goal_reward
+    for got, want in zip(loaded.transition_arrays(), archive.transition_arrays(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -121,8 +121,8 @@ def test_golden_safety_field():
     assert digest == SAFETY_FIELD
 
 
-# The CSV writer's own digest: the conftest archive (400 transitions, seed 7)
-# as save_archive writes it. The run digests above see the demo states and
+# save_archive's own digest: the conftest archive (400 transitions, seed 7)
+# as it writes it. The run digests above see the demo states and
 # the prefilled transitions, but not the bytes of the file.
 ARCHIVE_BYTES = "f3082cd694ad21c12c38b604f6e2d7a98385bb352f1662a7fcf241cbcc76122e"
 
